@@ -18,6 +18,7 @@ minutes despite the thesis tuning heap size and token counts.
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.db.engine import BootProfile, Datastore, encoded_size
@@ -36,8 +37,10 @@ class BloomFilter:
         self.hashes = hashes
 
     def _positions(self, key: str) -> Iterator[int]:
-        h1 = hash(key) & 0x7FFFFFFF
-        h2 = hash(key + "#") & 0x7FFFFFFF | 1
+        # zlib.crc32, not hash(): str hashing is salted per process, and
+        # which tables a read probes must not depend on the salt.
+        h1 = zlib.crc32(key.encode("utf-8")) & 0x7FFFFFFF
+        h2 = zlib.crc32((key + "#").encode("utf-8")) & 0x7FFFFFFF | 1
         for i in range(self.hashes):
             yield (h1 + i * h2) % self.size
 

@@ -410,7 +410,9 @@ class Router:
         :func:`repro.serverless.loadgen.arrival_ticks`).  The event loop
         runs until every admitted request departs and the pool has
         settled back to its floor — so the result includes the tail:
-        drain, idle-timeout reaping and scale-to-zero.
+        drain, idle-timeout reaping and scale-to-zero.  The router's
+        clock never goes backwards, so a second trace on the same router
+        must start at or after the previous one's ``finished_at``.
         """
         if payload is not None and payload_factory is not None:
             raise ValueError("pass payload or payload_factory, not both")
@@ -421,7 +423,13 @@ class Router:
         previous = None
         for index, tick in enumerate(arrivals):
             tick = int(tick)
-            if previous is not None and tick < previous:
+            if previous is None:
+                if tick < self.now:
+                    raise ValueError(
+                        "trace starts at tick %d, before the router's "
+                        "clock at tick %d; ticks must never go backwards"
+                        % (tick, self.now))
+            elif tick < previous:
                 raise ValueError("arrival ticks must be non-decreasing")
             previous = tick
             heapq.heappush(heap, (tick, next(order), "arrival", index))

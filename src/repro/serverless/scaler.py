@@ -26,6 +26,19 @@ The model follows Knative's KPA (pod autoscaler) shape:
   ``min_instances`` (and the next burst pays cold starts again — the
   amplification loop the paper's cold/warm numbers predict).
 
+Each window is answered from a running integral, as Knative's KPA
+aggregates into buckets rather than rescanning its history.  Beside
+every kept sample the autoscaler stores the exact integer area under the
+step signal up to that sample's tick; the area up to any tick is then
+one ``bisect_right`` lookup plus one product, and a window's average is
+``(I(now) - I(start)) / float(now - start)``.  The result is bit for bit
+what :func:`windowed_average` (kept as the test oracle) computes by
+walking the samples: that walk adds integer terms into a float, which is
+exact below 2**53, and dividing the same exact integer by the same float
+gives the same double.  The integral only accumulates forwards, so ticks
+must never go backwards: ``observe`` rejects an earlier tick, and
+``Router.serve`` rejects a trace that starts before the router's clock.
+
 Everything is deterministic: decisions depend only on the logical tick
 clock and the observed sample history, never on wall clock, so two serve
 runs with the same seed produce byte-identical scaling-event logs
@@ -35,6 +48,7 @@ runs with the same seed produce byte-identical scaling-event logs
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 _CONFIG_FIELDS = (
@@ -272,19 +286,67 @@ class ConcurrencyAutoscaler:
         self.function = function
         #: Step-signal samples of in-flight demand: ``(tick, value)``.
         self.samples: List[Tuple[int, int]] = []
+        #: Beside ``samples[i]``: its tick, and the exact integer area
+        #: under the signal from the first sample ever observed up to
+        #: that tick.  Only differences of areas are ever used.
+        self._ticks: List[int] = []
+        self._area: List[int] = []
         #: Tick until which panic mode holds (0 = not panicking).
         self.panic_until = 0
 
     def observe(self, tick: int, in_flight: int) -> None:
         """Record the demand signal at ``tick`` (monotone non-decreasing)."""
-        if self.samples and self.samples[-1][0] == tick:
-            self.samples[-1] = (tick, in_flight)
+        samples = self.samples
+        ticks = self._ticks
+        area = self._area
+        if ticks:
+            last = ticks[-1]
+            if tick == last:
+                # The area up to `tick` does not depend on the value
+                # held from it, and the trim below already ran for it.
+                samples[-1] = (tick, in_flight)
+                return
+            if tick < last:
+                raise ValueError(
+                    "%s: observed tick %d after tick %d; ticks must "
+                    "never go backwards" % (self.function, tick, last))
+            area.append(area[-1] + samples[-1][1] * (tick - last))
         else:
-            self.samples.append((tick, in_flight))
-        # Keep just enough history to cover the stable window.
+            area.append(0)
+        samples.append((tick, in_flight))
+        ticks.append(tick)
+        # Keep just enough history to cover the stable window: drop
+        # every sample whose successor is at or before the horizon, but
+        # never below two samples.
         horizon = tick - self.config.stable_window
-        while len(self.samples) > 2 and self.samples[1][0] <= horizon:
-            self.samples.pop(0)
+        if len(ticks) > 2 and ticks[1] <= horizon:
+            drop = min(bisect_right(ticks, horizon) - 1, len(ticks) - 2)
+            del samples[:drop]
+            del ticks[:drop]
+            del area[:drop]
+
+    def _integral(self, tick: int) -> int:
+        """Area under the kept signal up to ``tick``, offset by ``_area[0]``.
+
+        No area accrues before the first kept sample, so ticks before it
+        count as zero, as in :func:`windowed_average`.
+        """
+        index = bisect_right(self._ticks, tick) - 1
+        if index < 0:
+            return self._area[0]
+        return (self._area[index]
+                + self.samples[index][1] * (tick - self._ticks[index]))
+
+    def _average(self, now: int, window: int) -> float:
+        """``windowed_average(self.samples, now, window)``, bit for bit."""
+        if not self.samples:
+            return 0.0
+        start = now - window
+        if start < 0:
+            start = 0
+        if now <= start:
+            return float(self.samples[-1][1])
+        return (self._integral(now) - self._integral(start)) / float(now - start)
 
     @property
     def panicking(self) -> bool:
@@ -298,8 +360,8 @@ class ConcurrencyAutoscaler:
         a panic boundary (the router turns those into scaling events).
         """
         config = self.config
-        stable_avg = windowed_average(self.samples, now, config.stable_window)
-        panic_avg = windowed_average(self.samples, now, config.panic_window)
+        stable_avg = self._average(now, config.stable_window)
+        panic_avg = self._average(now, config.panic_window)
         want_stable = int(math.ceil(stable_avg / config.target_concurrency))
         want_panic = int(math.ceil(panic_avg / config.target_concurrency))
 

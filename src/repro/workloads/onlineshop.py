@@ -10,6 +10,7 @@ catalog service and the Python recommender.
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Any, Dict, List
 
 from repro.db.engine import encoded_size
@@ -248,7 +249,10 @@ class PaymentService(OnlineShopFunction):
         ctx.meter("digits", len(number))
         if not valid:
             return {"charged": False, "reason": "invalid card"}
-        transaction = "TXN-%010d" % (hash((number, payload.get("amount_usd"))) % 10**10)
+        # zlib.crc32, not hash(): str hashing is salted per process.
+        # crc32 is below 10**10, so the id stays fixed-width.
+        key = "%s|%r" % (number, payload.get("amount_usd"))
+        transaction = "TXN-%010d" % zlib.crc32(key.encode("utf-8"))
         return {"charged": True, "transaction_id": transaction}
 
     def build_work(self, builder, record, services) -> None:

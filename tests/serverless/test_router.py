@@ -168,6 +168,26 @@ class TestRouterMechanics:
         with pytest.raises(ValueError):
             router.serve("fn", [10, 5])
 
+    def test_second_trace_may_not_rewind_the_clock(self):
+        from repro.serverless.loadgen import arrival_ticks
+        from repro.serverless.scaler import ScalingConfig
+
+        router = make_router(scaling=ScalingConfig(
+            target_concurrency=2, max_instances=4))
+        arrivals = arrival_ticks("burst", rps=150, requests=40, seed=3)
+        first = router.serve("fn", arrivals)
+        assert first.finished_at == router.now > arrivals[0]
+        with pytest.raises(ValueError, match="tick %d, .* tick %d;" % (
+                arrivals[0], first.finished_at)):
+            router.serve("fn", arrivals)
+        assert router.now == first.finished_at
+        # The same trace shifted to start where the first one finished.
+        shifted = [tick - arrivals[0] + first.finished_at
+                   for tick in arrivals]
+        second = router.serve("fn", shifted)
+        assert len(second.records) == len(arrivals)
+        assert second.finished_at > first.finished_at
+
     def test_deploy_duplicate_and_unknown_function(self):
         router = make_router()
         with pytest.raises(ValueError):
