@@ -100,55 +100,6 @@ def test_microbench_predecode_replay(benchmark):
     assert cached_wall < legacy_wall
 
 
-def test_microbench_blockjit_compile_vs_replay(benchmark):
-    """Tier 3: one-time block-compile overhead vs warm compiled replay.
-    Compile cost must stay a small one-off next to the replay it speeds
-    up, and compiled replay must not lose to the tier-2 interpreter."""
-    from repro.sim.isa import blockjit
-
-    program = _long_program(name="perf-jit", trips=600)
-
-    def timed():
-        replays = 6
-        blockjit.reset_stats()
-        previous = blockjit.set_enabled(True)
-        try:
-            system = SimulatedSystem("bj", "riscv")
-            # Cross the promotion threshold: blocks compile during these
-            # runs, so STATS captures the full codegen overhead.
-            for _ in range(blockjit.threshold() + 1):
-                system.run(1, program, model="atomic")
-            compile_wall = blockjit.STATS["compile_s"]
-            units = blockjit.STATS["compiled_units"]
-            start = time.perf_counter()
-            for _ in range(replays):
-                system.run(1, program, model="atomic")
-            jit_wall = time.perf_counter() - start
-
-            blockjit.set_enabled(False)
-            tier2_system = SimulatedSystem("t2", "riscv")
-            tier2_system.run(1, program, model="atomic")
-            start = time.perf_counter()
-            for _ in range(replays):
-                tier2_system.run(1, program, model="atomic")
-            tier2_wall = time.perf_counter() - start
-        finally:
-            blockjit.set_enabled(previous)
-        return units, compile_wall, jit_wall, tier2_wall
-
-    units, compile_wall, jit_wall, tier2_wall = run_once(benchmark, timed)
-    print("\n[simperf] blockjit: %d units compiled in %.1f ms; warm "
-          "compiled replay %.1f ms vs tier-2 %.1f ms (%.2fx)"
-          % (units, compile_wall * 1e3, jit_wall * 1e3, tier2_wall * 1e3,
-             tier2_wall / jit_wall))
-    assert units > 0
-    # Compiled replay must beat the interpreter it replaced (slack for
-    # noisy shared CI hosts), and compiling must cost less than the
-    # replay time it wins back over the protocol's replay count.
-    assert jit_wall < tier2_wall * 1.10
-    assert compile_wall < tier2_wall
-
-
 def test_microbench_sampled_o3(benchmark):
     """Sampled O3 vs full detail on a long program: the sampled loop must
     be faster, and its instruction stream must stay functionally exact."""

@@ -529,7 +529,6 @@ def cmd_reproduce(args) -> int:
 def cmd_cache(args) -> int:
     """Inspect or clear the persistent result cache."""
     from repro.core.rescache import ResultCache
-    from repro.sim.isa import blockjit, predecode
 
     cache = ResultCache()
     if args.action == "clear":
@@ -540,25 +539,6 @@ def cmd_cache(args) -> int:
     print("result cache at %s" % stats["root"])
     print("  entries: %d" % stats["entries"])
     print("  size:    %.1f KiB" % (stats["bytes"] / 1024.0))
-    replays = predecode.STATS["block_replays"]
-    decoded = predecode.STATS["decoded_blocks"]
-    hit_rate = (1.0 - decoded / replays) if replays else 0.0
-    print("predecode cache (tier 2, %s, this process):"
-          % ("enabled" if predecode.enabled() else "disabled"))
-    print("  block replays: %d  decoded: %d  hit rate: %.1f%%"
-          % (replays, decoded, hit_rate * 100))
-    jit = blockjit.STATS
-    calls = jit["compiled_calls"] + jit["interpreted_calls"]
-    jit_rate = (jit["compiled_calls"] / calls) if calls else 0.0
-    print("block JIT (tier 3, %s, threshold %d, this process):"
-          % ("enabled" if blockjit.enabled() else "disabled",
-             blockjit.threshold()))
-    print("  compiled units: %d (%.2fs)  declined: %d"
-          % (jit["compiled_units"], jit["compile_s"], jit["declined"]))
-    print("  node executions: %d compiled / %d interpreted "
-          "(%.1f%% compiled)"
-          % (jit["compiled_calls"], jit["interpreted_calls"],
-             jit_rate * 100))
     return 0
 
 

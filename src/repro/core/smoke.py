@@ -13,21 +13,16 @@ previous entry.  A v1 single-snapshot file migrates transparently: it
 becomes the trajectory's first entry (with no SHA — it predates the
 trajectory).
 
-Beyond the full-detail batch, a smoke run can time three extra phases:
+Beyond the full-detail batch, a smoke run can time two extra phases:
 
 * ``sampled`` — the same batch under a sampling config (default the
   calibrated ``accurate`` preset).  It runs in the same process after
   the full-detail phase and one untimed sampled warmup pass, so
-  assembled-program, dataset, decode and compiled-block caches are
-  warm; the figure isolates the simulation hot loop the way FireSim's
-  fast mode isolates target time, and is honest about that framing.
-* ``jit`` — a same-process rerun of the full-detail batch with the
-  hot-block JIT's compiled functions already cached, timing pure
-  compiled replay; the one-time codegen overhead the earlier phases
-  paid is reported separately (``compile``), so compile cost and
-  replay benefit never blur into one number.
+  assembled-program, dataset and decode caches are warm; the figure
+  isolates the simulation hot loop the way FireSim's fast mode isolates
+  target time, and is honest about that framing.
 * ``legacy`` — the same batch with the predecode cache disabled
-  (``REPRO_PREDECODE=0`` semantics), giving a same-machine baseline so
+  (``predecode.set_enabled(False)``), giving a same-machine baseline so
   speedups are comparable across differently-provisioned CI hosts.
 
 Every run also times a pinned clustered serve (``cluster_serve``): a
@@ -157,12 +152,10 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
     """
     from repro.core.parallel import resolve_jobs
     from repro.core.scale import TEST
-    from repro.sim.isa import blockjit, predecode
+    from repro.sim.isa import predecode
     from repro.sim.sampling import SamplingConfig
 
     resolved_jobs = resolve_jobs(jobs)
-    predecode.reset_stats()
-    blockjit.reset_stats()
     batches, total_instructions, wall_total = _run_batches(jobs, cache)
 
     report: Dict[str, Any] = {
@@ -183,10 +176,10 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
     config = SamplingConfig.parse(sampling)
     if config is not None:
         # Untimed warmup pass: the sampled path has one-time costs of
-        # its own (warm-path decode, and JIT codegen for warm/windowed
-        # units the full-detail phase never ran), which would otherwise
-        # land inside the timed window.  The phase's contract is the
-        # warm simulation hot loop, so pay them here.
+        # its own (warm-path decode the full-detail phase never ran),
+        # which would otherwise land inside the timed window.  The
+        # phase's contract is the warm simulation hot loop, so pay them
+        # here.
         _run_batches(jobs, cache, sampling=config)
         sampled_batches, _, sampled_wall = _run_batches(
             jobs, cache, sampling=config)
@@ -196,32 +189,8 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
             "wall_s": round(sampled_wall, 3),
             "note": "same-process rerun after the full-detail phase and "
                     "an untimed sampled warmup pass; assembled-program, "
-                    "dataset, decode and compiled-block caches are warm, "
-                    "so this isolates the simulation hot loop",
-        }
-
-    if blockjit.enabled() and predecode.enabled():
-        replays = predecode.STATS["block_replays"]
-        compile_stats = {
-            "compiled_units": blockjit.STATS["compiled_units"],
-            "compile_s": round(blockjit.STATS["compile_s"], 3),
-            "declined": blockjit.STATS["declined"],
-            "compiled_calls": blockjit.STATS["compiled_calls"],
-            "interpreted_calls": blockjit.STATS["interpreted_calls"],
-        }
-        jit_batches, _, jit_wall = _run_batches(jobs, cache)
-        report["jit"] = {
-            "batches": jit_batches,
-            "wall_s": round(jit_wall, 3),
-            "compile": compile_stats,
-            "predecode": {
-                "block_replays": replays,
-                "decoded_blocks": predecode.STATS["decoded_blocks"],
-            },
-            "note": "same-process rerun with hot blocks already "
-                    "compiled: pure tier-3 replay; 'compile' totals "
-                    "the one-time codegen overhead paid by the "
-                    "earlier phases",
+                    "dataset and decode caches are warm, so this "
+                    "isolates the simulation hot loop",
         }
 
     if legacy:
@@ -344,9 +313,9 @@ def wall_regression(previous: Optional[Dict[str, Any]],
 
 #: Phases whose wall-clocks the CI gate compares alongside the top-level
 #: batch wall: a regression confined to the sampled fast path, the
-#: cluster scheduling path, compiled replay, or the vector lane must
-#: fail the gate even when the full-detail batch happens to absorb it.
-GATED_PHASES = ("sampled", "cluster_serve", "jit", "ml_infer")
+#: cluster scheduling path, or the vector lane must fail the gate even
+#: when the full-detail batch happens to absorb it.
+GATED_PHASES = ("sampled", "cluster_serve", "ml_infer")
 
 
 def phase_regressions(previous: Optional[Dict[str, Any]],
@@ -420,14 +389,6 @@ def render_smoke(report: Dict[str, Any], as_json: bool) -> str:
     if sampled:
         lines.append("  sampled (%s): %.2fs" % (
             sampled["sampling"], sampled["wall_s"]))
-    jit = report.get("jit")
-    if jit:
-        compile_stats = jit["compile"]
-        lines.append("  jit warm replay: %.2fs (%d units compiled in "
-                     "%.2fs, %d declined)" % (
-                         jit["wall_s"], compile_stats["compiled_units"],
-                         compile_stats["compile_s"],
-                         compile_stats["declined"]))
     legacy = report.get("legacy")
     if legacy:
         lines.append("  legacy (no predecode): %.2fs" % legacy["wall_s"])

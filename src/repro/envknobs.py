@@ -1,15 +1,13 @@
-"""Hardened parsing for ``REPRO_*`` environment knobs.
+"""Hardened parsing for integer ``REPRO_*`` environment knobs.
 
-Several tuning knobs are read from the environment at import time
-(``REPRO_JIT_THRESHOLD``, ``REPRO_JIT_MAX_STMTS``) or on first use
-(``REPRO_JOBS``).  A typo like ``REPRO_JIT_THRESHOLD=yes`` used to raise
-an unhandled ``ValueError`` — at *import* time for the JIT knobs, which
-took down every entry point before it could print a usable message.
-Knobs are tuning hints, not configuration contracts: a malformed value
-falls back to the default with a warning instead of aborting.
+``REPRO_JOBS`` is read on first use.  A typo like ``REPRO_JOBS=lots``
+must not raise an unhandled ``ValueError`` that takes down the entry
+point before it can print a usable message.  Knobs are tuning hints,
+not configuration contracts: a malformed value falls back to the
+default with a warning instead of aborting.
 
 This module lives at the package root (not under ``repro.core`` or
-``repro.sim``) so both layers can share it without an import cycle.
+``repro.sim``) so any layer can use it without an import cycle.
 """
 
 from __future__ import annotations

@@ -8,14 +8,14 @@ and take checkpoints (setup mode), because the KVM model is unstable
 
 The fast path replays predecoded basic blocks
 (:mod:`repro.sim.isa.predecode`); the legacy per-instruction loop is kept
-for ``REPRO_PREDECODE=0`` and the equivalence tests that pin the two
-paths bit-identical.
+as the reference, selected by ``predecode.set_enabled(False)``, for the
+equivalence tests that pin the two paths bit-identical.
 """
 
 from __future__ import annotations
 
 from repro.sim.cpu.base import BaseCpu, RunResult
-from repro.sim.isa import blockjit, predecode
+from repro.sim.isa import predecode
 from repro.sim.isa.base import InstrClass
 
 
@@ -26,9 +26,8 @@ class AtomicCpu(BaseCpu):
 
     def run_program(self, assembled, seed: int = 0) -> RunResult:
         if predecode.enabled():
-            run = (blockjit.atomic_run if blockjit.enabled()
-                   else predecode.atomic_run)
-            cycles, class_counts = run(assembled, seed, self.mem)
+            cycles, class_counts = predecode.atomic_run(assembled, seed,
+                                                        self.mem)
             names = InstrClass.NAMES
             by_class = self.stat_by_class
             instructions = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.isa import blockjit, predecode
+from repro.sim.isa import predecode
 from repro.sim.isa.base import InstrClass
 from repro.sim.mem.hierarchy import CoreMemSystem
 from repro.sim.statistics import StatGroup
@@ -89,11 +89,11 @@ class BaseCpu:
         untimed requests (2..9) between the cold and warm measurements.
         ``bpred`` (the detailed core's branch predictor, if any) trains on
         the branch stream, exactly what functional warming is for.
+        Replays predecoded blocks; the walk below is the legacy
+        reference, used when ``predecode.set_enabled(False)``.
         """
         if predecode.enabled():
-            warm = (blockjit.warm_run if blockjit.enabled()
-                    else predecode.warm_run)
-            return warm(assembled, seed, self.mem, bpred)
+            return predecode.warm_run(assembled, seed, self.mem, bpred)
         line_mask = ~(self.mem.config.line_size - 1)
         mem = self.mem
         current_line = -1

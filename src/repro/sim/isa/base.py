@@ -559,8 +559,8 @@ class ISA:
         for identical IR.  Strips rotate across the configured lanes,
         which the O3 model exploits exactly like scalar chain rotation.
         The lowered instructions are ordinary repeat-form
-        :class:`StaticInstr`, so the predecode and blockjit tiers replay
-        them with no vector-specific handling.
+        :class:`StaticInstr`, so both the predecode and the legacy tier
+        replay them with no vector-specific handling.
         """
         from repro.sim.isa.vector import elements_per_instr
 

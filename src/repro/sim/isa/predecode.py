@@ -17,13 +17,13 @@ exactly once per consumer into flat tuples, and replays those:
   consecutive dynamic instances of a static instruction) consumed by the
   O3 model's merged pipeline loop.
 
-Replay is **bit-identical** to the legacy trace path: the same rng draws
-in the same order (address patterns and branch outcomes), the same cycle
+This is the only fast tier.  Replay is **bit-identical** to the legacy
+trace path, which stays as the reference: the same rng draws in the
+same order (address patterns and branch outcomes), the same cycle
 number at every cache/TLB/DRAM access, the same per-access PC (feeding
 PC-indexed prefetchers), and the same statistics.  The tier-1 suite
-asserts this equivalence with the cache forced on and off; set
-``REPRO_PREDECODE=0`` in the environment (or call :func:`set_enabled`)
-to select the legacy path.
+asserts this equivalence by calling :func:`set_enabled` — the one
+switch to the legacy path — with the cache forced on and off.
 
 Decoded forms are cached on the ``AssembledProgram`` instance itself
 (keyed by consumer and line granularity), so they share the lifetime of
@@ -32,7 +32,6 @@ the static instructions they index and never go stale.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Iterator, List, Optional, Tuple
 
@@ -44,9 +43,7 @@ from repro.sim.isa.base import (
     InstrClass,
     UnrolledRun,
 )
-
-#: Kept in sync with :data:`repro.sim.isa.trace._MAX_CALL_DEPTH`.
-_MAX_CALL_DEPTH = 64
+from repro.sim.isa.trace import _MAX_CALL_DEPTH
 
 _LOAD = InstrClass.LOAD
 _STORE = InstrClass.STORE
@@ -54,23 +51,12 @@ _BRANCH = InstrClass.BRANCH
 _SYSCALL = InstrClass.SYSCALL
 _NUM_CLASSES = len(InstrClass.NAMES)
 
-_ENABLED = os.environ.get("REPRO_PREDECODE", "1").lower() not in (
-    "0", "false", "off", "no",
-)
+_ENABLED = True
 
-#: Process-wide tier-2 counters (see ``python -m repro cache stats``):
-#: ``block_replays`` counts block-node executions through the decoded
-#: replayers, ``decoded_blocks`` counts decode misses (first replay of a
-#: block per consumer flavour).  The hit rate is their complement.
-STATS: dict = {}
-
-
-def reset_stats() -> None:
-    """Zero the tier-2 counters."""
-    STATS.update(block_replays=0, decoded_blocks=0)
-
-
-reset_stats()
+#: Process-wide counter, read by the repository benchmark's host tracer:
+#: ``decoded_blocks`` counts decode misses (first replay of a block per
+#: consumer flavour).
+STATS: dict = {"decoded_blocks": 0}
 
 
 def enabled() -> bool:
@@ -79,7 +65,11 @@ def enabled() -> bool:
 
 
 def set_enabled(value: bool) -> bool:
-    """Toggle the predecode cache; returns the previous setting."""
+    """Toggle the predecode cache; returns the previous setting.
+
+    Turning it off selects the legacy trace path, the reference the
+    equivalence tests and ``bench-smoke --with-legacy`` compare against.
+    """
     global _ENABLED
     previous = _ENABLED
     _ENABLED = bool(value)
@@ -342,7 +332,6 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
         for node in body:
             kind = type(node)
             if kind is AssembledBlock:
-                stats["block_replays"] += 1
                 decoded = blocks.get(id(node))
                 if decoded is None:
                     stats["decoded_blocks"] += 1
@@ -564,7 +553,6 @@ def warm_run(assembled, seed: int, mem, bpred=None) -> int:
         for node in body:
             kind = type(node)
             if kind is AssembledBlock:
-                stats["block_replays"] += 1
                 decoded = blocks.get(id(node))
                 if decoded is None:
                     stats["decoded_blocks"] += 1
@@ -815,7 +803,6 @@ def _o3_decoded_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
         for node in body:
             kind = type(node)
             if kind is AssembledBlock:
-                stats["block_replays"] += 1
                 decoded = blocks.get(id(node))
                 if decoded is None:
                     stats["decoded_blocks"] += 1
@@ -912,17 +899,13 @@ def _o3_legacy_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
 
 
 def o3_stream(assembled, seed, line_shift, lat_t, busy_t, ser_t) -> Iterator[tuple]:
-    """The O3 model's instruction-run stream (jit, decoded, or legacy).
+    """The O3 model's instruction-run stream (decoded, or legacy).
 
     Both the merged pipeline loop and the sampled fast-forward/warmup
     windows consume this stream, so the tier choice made here covers
     every O3 execution mode.
     """
     if _ENABLED:
-        from repro.sim.isa import blockjit
-        if blockjit.enabled():
-            return blockjit.o3_stream(assembled, seed, line_shift,
-                                      lat_t, busy_t, ser_t)
         return _o3_decoded_runs(assembled, seed, line_shift,
                                 lat_t, busy_t, ser_t)
     return _o3_legacy_runs(assembled, seed, line_shift,

@@ -1,10 +1,7 @@
 """Environment-knob hardening: malformed integer knobs must warn and fall
-back to their defaults instead of crashing — including at import time for
-the block-JIT thresholds."""
+back to their defaults instead of crashing."""
 
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -41,32 +38,3 @@ class TestResolveJobsFallback:
         monkeypatch.setenv("REPRO_JOBS", "lots")
         assert resolve_jobs(3) == 3
 
-
-class TestBlockjitImportTime:
-    """The JIT thresholds are read at import time; a malformed value used
-    to raise ValueError before any measurement could run."""
-
-    def _import_blockjit(self, env):
-        merged = dict(os.environ, **env)
-        return subprocess.run(
-            [sys.executable, "-c",
-             "import warnings; warnings.simplefilter('ignore'); "
-             "from repro.sim.isa import blockjit; "
-             "print(blockjit._THRESHOLD, blockjit._MAX_STMTS)"],
-            capture_output=True, text=True, env=merged,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)))))
-
-    def test_bad_threshold_survives_import(self):
-        result = self._import_blockjit({"REPRO_JIT_THRESHOLD": "yes",
-                                        "PYTHONPATH": "src"})
-        assert result.returncode == 0, result.stderr
-        threshold, max_stmts = result.stdout.split()
-        assert int(threshold) == 2  # the documented default
-
-    def test_bad_max_stmts_survives_import(self):
-        result = self._import_blockjit({"REPRO_JIT_MAX_STMTS": "unbounded",
-                                        "PYTHONPATH": "src"})
-        assert result.returncode == 0, result.stderr
-        threshold, max_stmts = result.stdout.split()
-        assert int(max_stmts) == 3072  # the documented default

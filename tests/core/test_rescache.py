@@ -100,6 +100,9 @@ class TestCacheCli:
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries: 1" in out
+        # The command runs no simulation, so it reports no replay tier.
+        for word in ("tier", "predecode", "JIT"):
+            assert word not in out
 
         assert main(["cache", "clear"]) == 0
         out = capsys.readouterr().out

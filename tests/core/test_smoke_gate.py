@@ -60,10 +60,20 @@ class TestPhaseRegressions:
             phase_regressions(previous, current)
 
     def test_zero_current_wall_fails_closed(self):
-        previous = entry(jit=1.0)
-        current = entry(jit=0.0)
+        previous = entry(sampled=1.0)
+        current = entry(sampled=0.0)
         with pytest.raises(ValueError, match="failing closed"):
             phase_regressions(previous, current)
+
+    def test_retired_jit_phase_is_not_gated(self):
+        """Trajectory entries recorded before the block JIT was deleted
+        carry a ``jit`` phase that no run records any more; the gate
+        compares the remaining phases instead of failing closed."""
+        previous = entry(sampled=2.0, cluster_serve=1.0, jit=0.6,
+                         ml_infer=0.5)
+        current = entry(sampled=2.0, cluster_serve=1.0, ml_infer=0.5)
+        changes = phase_regressions(previous, current)
+        assert set(changes) == {"sampled", "cluster_serve", "ml_infer"}
 
     def test_ml_infer_is_gated(self):
         assert "ml_infer" in GATED_PHASES

@@ -1,12 +1,15 @@
 """Block predecode cache equivalence: cached replay is bit-identical to
 the legacy trace path — RunResult, full stat dumps, and trace event logs
-— across ISAs, CPU models, seeds, and program shapes."""
+— across ISAs, CPU models, sampling, seeds, program shapes and call
+depths."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.isa import ir, predecode
+from repro.sim.isa.trace import _MAX_CALL_DEPTH
+from repro.sim.sampling import SamplingConfig
 from repro.sim.system import SimulatedSystem
 
 ISAS = ("riscv", "x86", "arm")
@@ -33,24 +36,54 @@ def build_program(name="p", seed=0, ialu=120, trips=20, loads=4, stores=2,
     return program
 
 
-def run_with(enabled, program, isa, model, seed):
+def call_chain(depth):
+    """``main`` -> ``r1`` -> ... -> ``r<depth>``: ``depth`` nested calls."""
+    program = ir.Program("chain%d" % depth, seed=depth)
+    buf = program.space.alloc("buf", 1 << 12)
+    names = ["main"] + ["r%d" % level for level in range(1, depth + 1)]
+    for caller, callee in zip(names, names[1:]):
+        program.add_routine(ir.Routine(caller, ir.Seq([
+            ir.compute_block(ialu=3), ir.Call(callee)])))
+    program.add_routine(ir.Routine(names[-1],
+                                   ir.touch_block(buf, loads=2, stores=1)))
+    return program
+
+
+def self_recursive():
+    program = ir.Program("recurse", seed=1)
+    program.add_routine(ir.Routine("main", ir.Seq([
+        ir.compute_block(ialu=2), ir.Call("main")])), entry=True)
+    return program
+
+
+def run_with(enabled, program, isa, model, seed, sampling=None,
+             vector=None):
+    """One replay on a fresh system: its result and full stat dump.
+
+    ``model`` is a CPU model, or ``"warm"`` for functional warming with
+    an O3 branch predictor attached.
+    """
     previous = predecode.set_enabled(enabled)
     try:
-        system = SimulatedSystem("s", isa)
-        result = system.run(1, program, model=model, seed=seed)
+        system = SimulatedSystem("s", isa, vector=vector)
+        if model == "warm":
+            system.cpu(1, "o3")  # instantiate so warming trains bpred
+            result = system.warm(1, program, seed=seed)
+        else:
+            run = system.run(1, program, model=model, seed=seed,
+                             sampling=sampling)
+            result = (run.cycles, run.instructions, run.loads,
+                      run.stores, run.branches)
         return result, system.dump_stats()
     finally:
         predecode.set_enabled(previous)
 
 
-def assert_equivalent(program, isa, model, seed=0):
-    cached, cached_stats = run_with(True, program, isa, model, seed)
-    legacy, legacy_stats = run_with(False, program, isa, model, seed)
-    assert (cached.cycles, cached.instructions, cached.loads,
-            cached.stores, cached.branches) == (
-        legacy.cycles, legacy.instructions, legacy.loads,
-        legacy.stores, legacy.branches)
-    assert cached_stats == legacy_stats
+def assert_equivalent(program, isa, model, seed=0, sampling=None,
+                      vector=None):
+    cached = run_with(True, program, isa, model, seed, sampling, vector)
+    legacy = run_with(False, program, isa, model, seed, sampling, vector)
+    assert cached == legacy
 
 
 class TestEquivalence:
@@ -63,6 +96,24 @@ class TestEquivalence:
     def test_random_patterns_draw_identically(self, isa):
         program = build_program(seed=5, random_pattern=True)
         assert_equivalent(program, isa, "o3", seed=5)
+
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_sampled_bit_identical(self, isa):
+        """Sampled O3 (fast-forward, warm-up and detail windows) sees the
+        same stream from both tiers."""
+        program = build_program(seed=9, trips=40)
+        config = SamplingConfig(interval=2048, detail=512, warmup=128,
+                                jitter=True, min_insts=0)
+        assert_equivalent(program, isa, "o3", seed=9, sampling=config)
+
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_vector_lane_bit_identical(self, isa):
+        """Lowered vector strips need no tier-specific replay code."""
+        from repro.sim.isa.vector import VectorConfig
+        from tests.sim.test_vector import build_vector_program
+
+        assert_equivalent(build_vector_program(seed=6), isa, "o3", seed=6,
+                          vector=VectorConfig.parse("rvv256"))
 
     def test_warming_equivalent(self):
         program = build_program(seed=1)
@@ -97,6 +148,43 @@ class TestEquivalence:
         assert predecode.program_length(assembled) == result.instructions
 
 
+class TestCallDepth:
+    """Both tiers stop at the same call depth, with the same error."""
+
+    MODES = ("atomic", "o3", "warm")
+    too_deep = pytest.mark.parametrize(
+        "program", [call_chain(_MAX_CALL_DEPTH + 1), self_recursive()],
+        ids=["chain65", "self"])
+
+    @pytest.mark.parametrize("model", MODES)
+    def test_deepest_allowed_chain_bit_identical(self, model):
+        assert_equivalent(call_chain(_MAX_CALL_DEPTH), "riscv", model,
+                          seed=2)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("model", MODES)
+    @too_deep
+    def test_too_deep_raises(self, program, model, enabled):
+        with pytest.raises(RecursionError, match="call depth exceeded"):
+            run_with(enabled, program, "riscv", model, seed=2)
+
+    def test_program_length_at_the_limit(self):
+        program = call_chain(_MAX_CALL_DEPTH)
+        (_, instructions, _, _, _), _ = run_with(True, program, "riscv",
+                                                 "o3", seed=2)
+        assembled = SimulatedSystem("s", "riscv").assemble(program)
+        assert predecode.program_length(assembled) == \
+            assembled.dynamic_length() == instructions
+
+    @too_deep
+    def test_program_length_too_deep_raises(self, program):
+        assembled = SimulatedSystem("s", "riscv").assemble(program)
+        with pytest.raises(RecursionError, match="call depth exceeded"):
+            predecode.program_length(assembled)
+        with pytest.raises(RecursionError, match="call depth exceeded"):
+            assembled.dynamic_length()
+
+
 class TestTracedEquivalence:
     def test_trace_event_logs_identical(self):
         """The obs layer's frozen event log must not see the cache."""
@@ -128,10 +216,11 @@ class TestTracedEquivalence:
     trips=st.integers(min_value=1, max_value=40),
     taken_probability=st.floats(min_value=0.0, max_value=1.0),
     random_pattern=st.booleans(),
+    model=st.sampled_from(["atomic", "o3"]),
 )
 def test_property_equivalence(isa, seed, trips, taken_probability,
-                              random_pattern):
+                              random_pattern, model):
     program = build_program(seed=seed, trips=trips,
                             taken_probability=taken_probability,
                             random_pattern=random_pattern)
-    assert_equivalent(program, isa, "o3", seed=seed)
+    assert_equivalent(program, isa, model, seed=seed)
