@@ -4,13 +4,15 @@ A bank/row-buffer model of the single-channel DDR3-1600 configuration from
 Table 4.1: row-buffer hits pay CAS only, conflicts pay precharge +
 activate + CAS, and a simple controller-queue term adds pressure under
 bursts.  Latencies are expressed in *core cycles at 1 GHz* so they compose
-directly with the CPU models.
+directly with the CPU models.  The access, row-hit and row-conflict
+counters are plain ints behind ``_CounterView`` stats, as in the caches.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.sim.mem.cache import _CounterView
 from repro.sim.statistics import StatGroup
 
 
@@ -44,23 +46,30 @@ class DramModel:
         self._last_access_cycle = -(10**9)
         self._recent_accesses = 0
 
+        self.accesses = 0
+        self.row_hits = 0
+        self.row_conflicts = 0
+
         stats = (stats_parent or StatGroup("orphan")).group("dram")
-        self.stat_reads = stats.scalar("accesses", "memory accesses")
-        self.stat_row_hits = stats.scalar("rowHits", "row buffer hits")
-        self.stat_row_conflicts = stats.scalar("rowConflicts", "row buffer conflicts")
+        self.stat_reads = stats.add(_CounterView(
+            "accesses", self, "accesses", "memory accesses"))
+        self.stat_row_hits = stats.add(_CounterView(
+            "rowHits", self, "row_hits", "row buffer hits"))
+        self.stat_row_conflicts = stats.add(_CounterView(
+            "rowConflicts", self, "row_conflicts", "row buffer conflicts"))
 
     def access(self, addr: int, now_cycle: int = 0) -> int:
         """Latency in core cycles for one line fill from DRAM."""
-        self.stat_reads.inc()
+        self.accesses += 1
         row = addr // self.row_bytes
         bank = row % self.banks
         latency = self.controller_cycles + self.cas_cycles
 
         open_row = self._open_rows.get(bank)
         if open_row == row:
-            self.stat_row_hits.inc()
+            self.row_hits += 1
         else:
-            self.stat_row_conflicts.inc()
+            self.row_conflicts += 1
             latency += self.activate_cycles
             if open_row is not None:
                 latency += self.precharge_cycles

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.sim.mem.cache import Cache
+from repro.sim.mem.cache import Cache, _CounterView
 from repro.sim.mem.dram import DramModel
 from repro.sim.mem.prefetcher import make_prefetcher
 from repro.sim.mem.tlb import Tlb
@@ -134,7 +134,9 @@ class CoreMemSystem:
                                             cfg.prefetch_i_degree)
         self._dprefetcher = make_prefetcher(cfg.prefetch_d_kind,
                                             cfg.prefetch_d_degree)
-        self.stat_prefetches = stats.scalar("prefetchFills", "lines installed by prefetch")
+        self.prefetch_fills = 0
+        self.stat_prefetches = stats.add(_CounterView(
+            "prefetchFills", self, "prefetch_fills", "lines installed by prefetch"))
 
     # -- timed access paths ---------------------------------------------------
 
@@ -148,7 +150,7 @@ class CoreMemSystem:
         for fill in self._iprefetcher.on_miss(addr, line):
             self.l1i.fill_line(fill)
             l2.fill_line(fill)
-            self.stat_prefetches.inc()
+            self.prefetch_fills += 1
         latency += self._l2_latency
         if l2.access_line(line):
             return latency
@@ -169,7 +171,7 @@ class CoreMemSystem:
         for fill in self._dprefetcher.on_miss(pc, line):
             self.l1d.fill_line(fill)
             l2.fill_line(fill)
-            self.stat_prefetches.inc()
+            self.prefetch_fills += 1
         latency += self._l2_latency
         if l2.access_line(line, write):
             return latency
