@@ -1,5 +1,7 @@
 """Harness protocol tests: setup/evaluation modes, checkpoints, results."""
 
+import copy
+
 import pytest
 
 from repro.core.config import PlatformConfig, platform_for
@@ -138,6 +140,36 @@ class TestProtocol:
                     assert getattr(a, field) == getattr(b, field), (
                         name, phase, field)
                 assert nonzero(a.raw_dump) == nonzero(b.raw_dump)
+
+    @pytest.mark.parametrize("replacement", ["lru", "random"])
+    def test_layered_boot_checkpoint_equals_straight_through(self,
+                                                             replacement):
+        """Booting cassandra, then memcached on top of the restored
+        cassandra layer, ends in the same boot checkpoint as booting both
+        straight through.  Under the random policy this needs the
+        per-set rngs to travel with the checkpoint."""
+        from repro.db.cassandra import CassandraStore
+        from repro.workloads.hotel import HotelSuite
+
+        config = copy.copy(platform_for("riscv"))
+        config.mem_config = copy.copy(config.mem_config)
+        config.mem_config.replacement = replacement
+        suite = HotelSuite(CassandraStore())
+        functions = {fn.short_name: fn for fn in suite.functions}
+        cassandra = ExperimentHarness._stores_of(
+            suite.services_for(functions["geo"]))
+        both = ExperimentHarness._stores_of(
+            suite.services_for(functions["rate"]))
+
+        def boot(*service_sets):
+            clear_boot_checkpoint_cache()
+            for stores in service_sets:
+                harness = ExperimentHarness(isa="riscv", scale=SCALE,
+                                            platform_config=config)
+                checkpoint = harness.prepare(service_stores=stores)
+            return checkpoint.system_state
+
+        assert boot(cassandra, both) == boot(both)
 
     def test_kvm_setup_falls_back_on_instability(self):
         harness = ExperimentHarness(isa="riscv", scale=SCALE, setup_cpu="kvm",
