@@ -19,6 +19,7 @@ the effects the thesis's figures are built on.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapreplace
 from typing import Optional
 
 from repro.obs.tracer import (
@@ -117,31 +118,24 @@ _SERIALIZING_BY_CLASS = tuple(
 )
 
 
-class _FuPool:
-    """A small pool of identical functional units."""
+def _fu_pools(cfg: O3Config) -> tuple:
+    """Functional-unit pools indexed by instruction class.
 
-    __slots__ = ("free_at",)
-
-    def __init__(self, count: int):
-        self.free_at = [0] * count
-
-    def acquire(self, earliest: int, busy_for: int) -> int:
-        """Earliest issue on any unit at/after ``earliest``; book the unit."""
-        free = self.free_at
-        if len(free) == 1:
-            best_time = free[0]
-            issue = earliest if earliest >= best_time else best_time
-            free[0] = issue + busy_for
-            return issue
-        best = 0
-        best_time = free[0]
-        for index in range(1, len(free)):
-            if free[index] < best_time:
-                best = index
-                best_time = free[index]
-        issue = earliest if earliest >= best_time else best_time
-        free[best] = issue + busy_for
-        return issue
+    Each pool is a min-heap of its units' free-at cycles, and classes
+    that share units share one list.  The units of a pool are identical,
+    so only the multiset of free-at cycles matters: issuing at
+    ``max(ready, free[0])`` and ``heapreplace``-ing that unit's new
+    free-at gives the same cycles as a lowest-index argmin scan.
+    """
+    alu = [0] * cfg.int_alus
+    mul = [0] * cfg.int_mult_units
+    div = [0] * cfg.int_div_units
+    fp = [0] * cfg.fp_units
+    mem = [0] * cfg.mem_ports
+    # IALU IMUL IDIV FALU FMUL FDIV LOAD STORE BRANCH CALL RET SYSCALL
+    # CSR NOP
+    return (alu, mul, div, fp, fp, fp, mem, mem, alu, alu, alu, alu,
+            alu, alu)
 
 
 class O3Cpu(BaseCpu):
@@ -176,9 +170,7 @@ class O3Cpu(BaseCpu):
             # one-shot phases where a single extrapolated window is
             # systematically biased, and their full-detail cost is
             # negligible next to the long runs sampling accelerates.
-            from repro.sim.isa.predecode import program_length
-
-            if program_length(assembled) >= sampling.min_insts:
+            if predecode.program_length(assembled) >= sampling.min_insts:
                 return self._run_sampled(assembled, seed, sampling)
         return self._run(assembled, seed)
 
@@ -190,6 +182,10 @@ class O3Cpu(BaseCpu):
         plain integer adds, cheap enough to keep unconditionally, and
         the per-instruction counter-sample check is disarmed without a
         tracer by pushing ``next_sample`` beyond any instruction count.
+        A run is a repeat instruction, a loop/call edge or a whole
+        unrolled segment; the fetch check runs before each instance's
+        dispatch, on that instance's PC (``pcs[index]`` for a segment),
+        so it fetches exactly where one run per instance would.
         Arithmetic is bit-identical to the legacy per-instruction loops
         over ``assembled.trace()`` — the tier-1 suite pins this with the
         predecode cache forced on and off.
@@ -214,31 +210,11 @@ class O3Cpu(BaseCpu):
         load_queue = deque()  # completion cycles of in-flight loads
         store_queue = deque()
 
-        fu_alu = _FuPool(cfg.int_alus)
-        fu_mul = _FuPool(cfg.int_mult_units)
-        fu_div = _FuPool(cfg.int_div_units)
-        fu_fp = _FuPool(cfg.fp_units)
-        fu_mem = _FuPool(cfg.mem_ports)
-        fu_by_class = (
-            fu_alu,   # IALU
-            fu_mul,   # IMUL
-            fu_div,   # IDIV
-            fu_fp,    # FALU
-            fu_fp,    # FMUL
-            fu_fp,    # FDIV
-            fu_mem,   # LOAD
-            fu_mem,   # STORE
-            fu_alu,   # BRANCH
-            fu_alu,   # CALL
-            fu_alu,   # RET
-            fu_alu,   # SYSCALL
-            fu_alu,   # CSR
-            fu_alu,   # NOP
-        )
+        fu_by_class = _fu_pools(cfg)
         # Bound-method and table hoists: the loop below runs once per
         # dynamic instruction, so every attribute/hash lookup hoisted here
         # is worth percent-level wall clock on the full matrix.
-        acquire_by_class = tuple(pool.acquire for pool in fu_by_class)
+        line_shift = mem._line_shift
         ifetch = mem.ifetch
         data_access = mem.data_access
         predict_and_update = bpred.predict_and_update
@@ -286,27 +262,29 @@ class O3Cpu(BaseCpu):
         commit_stall_cycles = 0
         next_sample = _SAMPLE_PERIOD if tracer is not None else (1 << 62)
 
-        runs = predecode.o3_stream(assembled, seed, mem._line_shift,
+        runs = predecode.o3_stream(assembled, seed, line_shift,
                                    _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
                                    _SERIALIZING_BY_CLASS)
         for run in runs:
-            (count, icls, pc, pc_line, srcs, dst, lanes, serializing,
+            (count, icls, pc, pc_line, pcs, srcs, dst, lanes, serializing,
              op_latency, busy, memkind, addrs, takens) = run
-
-            # ---- fetch: at most once per run (one PC per run) ----------
-            if pc_line != current_line:
-                fetch_start = dispatch_cycle if dispatch_cycle > redirect_at else redirect_at
-                latency = ifetch(pc, fetch_start)
-                miss_extra = latency - l1_latency
-                line_ready = fetch_start + (miss_extra if miss_extra > 0 else 0)
-                current_line = pc_line
-
-            acquire = acquire_by_class[icls]
+            free = fu_by_class[icls]
             branch_run = icls == is_branch
             lanes_len = len(lanes) if lanes is not None else 0
             takens_seq = takens if type(takens) is list else None
 
             for index in range(count):
+                # ---- fetch: on each change of I-cache line -------------
+                if pcs is not None:
+                    pc = pcs[index]
+                    pc_line = pc >> line_shift
+                if pc_line != current_line:
+                    fetch_start = dispatch_cycle if dispatch_cycle > redirect_at else redirect_at
+                    latency = ifetch(pc, fetch_start)
+                    miss_extra = latency - l1_latency
+                    line_ready = fetch_start + (miss_extra if miss_extra > 0 else 0)
+                    current_line = pc_line
+
                 earliest_dispatch = line_ready if line_ready > redirect_at else redirect_at
 
                 # ---- dispatch (in-order, width-limited) ----------------
@@ -369,20 +347,22 @@ class O3Cpu(BaseCpu):
                         ready = src_ready
                 operand_wait_cycles += ready - dispatch_cycle - 1
 
+                # ``busy`` is 1 for loads and stores: a port for a cycle.
+                issue = free[0]
+                if ready > issue:
+                    issue = ready
+                heapreplace(free, issue + busy)
                 if memkind == 1:
-                    issue = acquire(ready, 1)
                     latency = data_access(addrs[index], False, issue, pc)
                     complete = issue + latency
                     lq_append(complete)
                     loads += 1
                 elif memkind == 2:
-                    issue = acquire(ready, 1)
                     data_access(addrs[index], True, issue, pc)
                     complete = issue + 1
                     sq_append(complete)
                     stores += 1
                 else:
-                    issue = acquire(ready, busy)
                     complete = issue + op_latency
                     if branch_run:
                         branches += 1
@@ -499,6 +479,7 @@ class O3Cpu(BaseCpu):
 
         scoreboard_size = max(NUM_ARCH_REGS + 32, cfg.int_regs + cfg.float_regs)
 
+        line_shift = mem._line_shift
         ifetch = mem.ifetch
         data_access = mem.data_access
         warm_touch = mem.warm_touch
@@ -532,7 +513,7 @@ class O3Cpu(BaseCpu):
         rob_popleft = rob_append = None
         lq_popleft = lq_append = None
         sq_popleft = sq_append = None
-        acquire_by_class = None
+        fu_by_class = None
         dispatch_cycle = dispatch_slots = 0
         commit_cycle = commit_slots = last_commit = 0
         redirect_at = line_ready = 0
@@ -542,11 +523,11 @@ class O3Cpu(BaseCpu):
         segment_iter = sampling.segments(placement)
         seg_end, seg_mode = next(segment_iter)
 
-        runs = predecode.o3_stream(assembled, seed, mem._line_shift,
+        runs = predecode.o3_stream(assembled, seed, line_shift,
                                    _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
                                    _SERIALIZING_BY_CLASS)
         for run in runs:
-            (count, icls, pc, pc_line, srcs, dst, lanes, serializing,
+            (count, icls, pc, pc_line, pcs, srcs, dst, lanes, serializing,
              op_latency, busy, memkind, addrs, takens) = run
             branch_run = icls == is_branch
             lanes_len = len(lanes) if lanes is not None else 0
@@ -581,19 +562,27 @@ class O3Cpu(BaseCpu):
                     continue
 
                 if seg_mode == WARMUP:
-                    if pc_line != warm_line:
+                    # Per instance, in the legacy order: a fetch touch on
+                    # a line change, then the data touch or the branch
+                    # training.  A repeat compute run touches only its
+                    # one fetch line.
+                    if pcs is not None or memkind or branch_run:
+                        for j in range(index, index + take):
+                            if pcs is not None:
+                                pc = pcs[j]
+                                pc_line = pc >> line_shift
+                            if pc_line != warm_line:
+                                warm_touch(pc, True)
+                                warm_line = pc_line
+                            if memkind:
+                                warm_touch(addrs[j], False, write, pc)
+                            elif branch_run:
+                                predict_and_update(
+                                    pc, takens_seq[j] if takens_seq is not None
+                                    else takens)
+                    elif pc_line != warm_line:
                         warm_touch(pc, True)
                         warm_line = pc_line
-                    if memkind:
-                        for j in range(index, index + take):
-                            warm_touch(addrs[j], False, write, pc)
-                    elif branch_run:
-                        if takens_seq is None:
-                            for _ in range(take):
-                                predict_and_update(pc, takens)
-                        else:
-                            for j in range(index, index + take):
-                                predict_and_update(pc, takens_seq[j])
                     index += take
                     instructions += take
                     continue
@@ -625,18 +614,7 @@ class O3Cpu(BaseCpu):
                     lq_append = load_queue.append
                     sq_popleft = store_queue.popleft
                     sq_append = store_queue.append
-                    fu_alu = _FuPool(cfg.int_alus)
-                    fu_mul = _FuPool(cfg.int_mult_units)
-                    fu_div = _FuPool(cfg.int_div_units)
-                    fu_fp = _FuPool(cfg.fp_units)
-                    fu_mem = _FuPool(cfg.mem_ports)
-                    acquire_by_class = (
-                        fu_alu.acquire, fu_mul.acquire, fu_div.acquire,
-                        fu_fp.acquire, fu_fp.acquire, fu_fp.acquire,
-                        fu_mem.acquire, fu_mem.acquire, fu_alu.acquire,
-                        fu_alu.acquire, fu_alu.acquire, fu_alu.acquire,
-                        fu_alu.acquire, fu_alu.acquire,
-                    )
+                    fu_by_class = _fu_pools(cfg)
                     dispatch_cycle = base
                     dispatch_slots = 0
                     commit_cycle = base
@@ -648,16 +626,19 @@ class O3Cpu(BaseCpu):
                     window_insts = 0
                     in_window = True
 
-                acquire = acquire_by_class[icls]
-                if pc_line != current_line:
-                    fetch_start = dispatch_cycle if dispatch_cycle > redirect_at else redirect_at
-                    latency = ifetch(pc, fetch_start)
-                    miss_extra = latency - l1_latency
-                    line_ready = fetch_start + (miss_extra if miss_extra > 0 else 0)
-                    current_line = pc_line
-                    warm_line = pc_line
-
+                free = fu_by_class[icls]
                 for j in range(index, index + take):
+                    if pcs is not None:
+                        pc = pcs[j]
+                        pc_line = pc >> line_shift
+                    if pc_line != current_line:
+                        fetch_start = dispatch_cycle if dispatch_cycle > redirect_at else redirect_at
+                        latency = ifetch(pc, fetch_start)
+                        miss_extra = latency - l1_latency
+                        line_ready = fetch_start + (miss_extra if miss_extra > 0 else 0)
+                        current_line = pc_line
+                        warm_line = pc_line
+
                     earliest_dispatch = line_ready if line_ready > redirect_at else redirect_at
                     if earliest_dispatch > dispatch_cycle:
                         dispatch_cycle = earliest_dispatch
@@ -708,18 +689,19 @@ class O3Cpu(BaseCpu):
                         if src_ready > ready:
                             ready = src_ready
 
+                    issue = free[0]
+                    if ready > issue:
+                        issue = ready
+                    heapreplace(free, issue + busy)
                     if memkind == 1:
-                        issue = acquire(ready, 1)
                         latency = data_access(addrs[j], False, issue, pc)
                         complete = issue + latency
                         lq_append(complete)
                     elif memkind == 2:
-                        issue = acquire(ready, 1)
                         data_access(addrs[j], True, issue, pc)
                         complete = issue + 1
                         sq_append(complete)
                     else:
-                        issue = acquire(ready, busy)
                         complete = issue + op_latency
                         if branch_run:
                             taken = takens_seq[j] if takens_seq is not None else takens

@@ -13,9 +13,9 @@ exactly once per consumer into flat tuples, and replays those:
 
 * ``atomic_run``  — timed in-order replay for ``AtomicCpu.run_program``,
 * ``warm_run``    — untimed functional warming for ``BaseCpu.warm_program``,
-* ``o3_stream``   — resolved instruction *runs* (one tuple per group of
-  consecutive dynamic instances of a static instruction) consumed by the
-  O3 model's merged pipeline loop.
+* ``o3_stream``   — resolved instruction *runs* (one tuple per repeat
+  instruction, loop/call edge or unrolled segment) consumed by the O3
+  model's pipeline loops.
 
 This is the only fast tier.  Replay is **bit-identical** to the legacy
 trace path, which stays as the reference: the same rng draws in the
@@ -33,10 +33,15 @@ the static instructions they index and never go stale.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.isa import ir
 from repro.sim.isa.base import (
+    ADDR_REG,
+    FP_CHAIN_BASE,
+    INT_CHAIN_BASE,
+    ZERO_REG,
     AssembledBlock,
     AssembledCall,
     AssembledLoop,
@@ -639,23 +644,27 @@ def warm_run(assembled, seed: int, mem, bpred=None) -> int:
 # O3 run stream
 # ---------------------------------------------------------------------------
 #
-# The O3 model consumes *runs*: one tuple per group of consecutive
-# dynamic instances of a static instruction,
+# The O3 model consumes *runs*: one tuple per repeat instruction, per
+# loop/call edge and per unrolled segment,
 #
-#   (count, icls, pc, line, srcs, dst, lanes, serializing, latency,
+#   (count, icls, pc, line, pcs, srcs, dst, lanes, serializing, latency,
 #    busy, memkind, addrs, takens)
 #
-# with ``lanes`` either None or a tuple of per-rotation (srcs, dst)
-# pairs (instance i uses lanes[i % len]); ``memkind`` 0/1/2 for
-# none/load/store; ``addrs`` an indexable of per-instance addresses for
-# memory runs; ``takens`` True/False for constant branch outcomes, an
-# indexable of bools for probabilistic branches, None otherwise.
+# with ``pc``/``line`` those of the first instance; ``pcs`` None when
+# every instance shares ``pc`` (repeat instructions, edges), else the
+# per-instance PCs of an unrolled segment; ``lanes`` either None or a
+# tuple of per-rotation (srcs, dst) pairs (instance i uses
+# lanes[i % len]); ``memkind`` 0/1/2 for none/load/store; ``addrs`` an
+# indexable of per-instance addresses for memory runs; ``takens``
+# True/False for constant branch outcomes, a list of bools for
+# probabilistic branches, None otherwise.  Repeat runs carry no
+# per-instance arrays: their counts scale with the time scale.
 #
 # Cached decoded entries are (tag, payload) pairs: tag 0 is a fully
-# resolved run yielded as-is, tags 1/2 carry rng-dependent memory /
-# branch templates resolved per execution — resolution draws from the
-# trace rng in exactly the legacy order, since a run's draws are
-# contiguous in the legacy stream too.
+# resolved run yielded as-is; tags 1/2 carry a run's first twelve fields
+# plus an rng-dependent memory / branch template, resolved per execution
+# — resolution draws from the trace rng in exactly the legacy order,
+# since a run's draws are contiguous in the legacy stream too.
 
 
 def _make_lanes(instr) -> Optional[tuple]:
@@ -674,121 +683,86 @@ def _make_lanes(instr) -> Optional[tuple]:
 
 def _edge_run(instr, taken, line_shift, lat_t, busy_t, ser_t):
     icls = instr.icls
-    return (1, icls, instr.pc, instr.pc >> line_shift, instr.srcs,
+    return (1, icls, instr.pc, instr.pc >> line_shift, None, instr.srcs,
             instr.dst, None, ser_t[icls], lat_t[icls], busy_t[icls],
             0, None, taken)
 
 
-def _decode_o3_run(run, line_shift, lat_t, busy_t, ser_t, entries):
-    """Decode one :class:`UnrolledRun` to per-instance O3 entries.
+def _decode_o3_run(run, line_shift, lat_t, busy_t, ser_t):
+    """Decode one :class:`UnrolledRun` to a single O3 entry.
 
-    Emits exactly what decoding the materialized instructions would —
-    same PCs, register lanes, addresses, and rng templates — without
-    creating the ``StaticInstr`` objects.
+    Instance ``i`` sits at ``pcs[i]`` and uses ``lanes[i % ilp]``, the
+    register lane chain position ``chain + i`` gives it: the same PCs,
+    registers, addresses and rng templates the materialized
+    instructions decode to one by one, without creating them.
     """
-    from repro.sim.isa.base import (
-        ADDR_REG, FP_CHAIN_BASE, INT_CHAIN_BASE, ZERO_REG,
-    )
     icls = run.icls
+    count = run.count
     pc = run.base_pc
-    sizes = run.sizes
-    chain = run.chain
+    pcs = tuple(accumulate(run.sizes[:-1], initial=pc))
     ilp = run.ilp
-    ser = ser_t[icls]
-    lat = lat_t[icls]
-    busy = busy_t[icls]
-    append = entries.append
-    if icls == _LOAD or icls == _STORE:
-        load = icls == _LOAD
-        memkind = 1 if load else 2
-        regs = [INT_CHAIN_BASE + (lane % 24) for lane in range(ilp)]
-        region = run.region
-        pattern = run.pattern
-        if type(pattern) is ir.StridePattern:
-            rbase = region.base
-            rsize = region.size
-            stride = pattern.stride
-            start = pattern.start
-            for index, size in enumerate(sizes):
-                reg = regs[(chain + index) % ilp]
-                srcs = (ADDR_REG,) if load else (reg, ADDR_REG)
-                dst = reg if load else -1
-                addr = rbase + (start + index * stride) % rsize
-                append((0, (1, icls, pc, pc >> line_shift, srcs, dst,
-                            None, ser, lat, busy, memkind, (addr,), None)))
-                pc += size
-        else:
-            for index, size in enumerate(sizes):
-                reg = regs[(chain + index) % ilp]
-                srcs = (ADDR_REG,) if load else (reg, ADDR_REG)
-                dst = reg if load else -1
-                append((1, (1, icls, pc, pc >> line_shift, srcs, dst,
-                            None, ser, lat, busy, memkind, region,
-                            pattern)))
-                pc += size
+    rotation = [(run.chain + index) % ilp % 24 for index in range(ilp)]
+    if icls == _LOAD:
+        lanes = tuple(((ADDR_REG,), INT_CHAIN_BASE + lane)
+                      for lane in rotation)
+    elif icls == _STORE:
+        lanes = tuple(((INT_CHAIN_BASE + lane, ADDR_REG), -1)
+                      for lane in rotation)
     elif icls == _BRANCH:
-        regs = [INT_CHAIN_BASE + (lane % 24) for lane in range(ilp)]
-        probability = run.probability
-        if probability < 1.0:
-            for index, size in enumerate(sizes):
-                reg = regs[(chain + index) % ilp]
-                append((2, (1, icls, pc, pc >> line_shift, (reg,), -1,
-                            None, ser, lat, busy, probability)))
-                pc += size
-        else:
-            for index, size in enumerate(sizes):
-                reg = regs[(chain + index) % ilp]
-                append((0, (1, icls, pc, pc >> line_shift, (reg,), -1,
-                            None, ser, lat, busy, 0, None, True)))
-                pc += size
+        lanes = tuple(((INT_CHAIN_BASE + lane,), -1) for lane in rotation)
     else:  # compute: dst = lane register, srcs = (lane, zero)
         base = FP_CHAIN_BASE if run.fp else INT_CHAIN_BASE
-        lanes = [(base + (lane % 24), (base + (lane % 24), ZERO_REG))
-                 for lane in range(ilp)]
-        for index, size in enumerate(sizes):
-            reg, srcs = lanes[(chain + index) % ilp]
-            append((0, (1, icls, pc, pc >> line_shift, srcs, reg,
-                        None, ser, lat, busy, 0, None, None)))
-            pc += size
+        lanes = tuple(((base + lane, ZERO_REG), base + lane)
+                      for lane in rotation)
+    srcs, dst = lanes[0]
+    head = (count, icls, pc, pc >> line_shift, pcs, srcs, dst, lanes,
+            ser_t[icls], lat_t[icls], busy_t[icls])
+    if icls == _LOAD or icls == _STORE:
+        head += (1 if icls == _LOAD else 2,)
+        region = run.region
+        pattern = run.pattern
+        if type(pattern) is not ir.StridePattern:
+            return (1, (head, region, pattern))
+        rbase = region.base
+        rsize = region.size
+        stride = pattern.stride
+        start = pattern.start
+        return (0, head + (tuple(rbase + (start + index * stride) % rsize
+                                 for index in range(count)), None))
+    head += (0,)
+    if icls != _BRANCH:
+        return (0, head + (None, None))
+    if run.probability < 1.0:
+        return (2, (head, run.probability))
+    return (0, head + (None, True))
 
 
 def _decode_o3_block(block, line_shift, lat_t, busy_t, ser_t):
     entries: List[tuple] = []
+    append = entries.append
     for segment in block.segments:
         if type(segment) is UnrolledRun:
-            _decode_o3_run(segment, line_shift, lat_t, busy_t, ser_t,
-                           entries)
+            append(_decode_o3_run(segment, line_shift, lat_t, busy_t, ser_t))
             continue
         for instr in segment:
             icls = instr.icls
             pc = instr.pc
             count = instr.repeat
-            lanes = _make_lanes(instr)
-            line = pc >> line_shift
-            ser = ser_t[icls]
-            lat = lat_t[icls]
-            busy = busy_t[icls]
+            head = (count, icls, pc, pc >> line_shift, None, instr.srcs,
+                    instr.dst, _make_lanes(instr), ser_t[icls],
+                    lat_t[icls], busy_t[icls])
             if instr.is_mem:
-                memkind = 1 if icls == _LOAD else 2
+                head += (1 if icls == _LOAD else 2,)
                 addrs = _stride_addrs(instr, count)
                 if addrs is None:
-                    entries.append((1, (count, icls, pc, line, instr.srcs,
-                                        instr.dst, lanes, ser, lat, busy,
-                                        memkind, instr.region,
-                                        instr.pattern)))
+                    append((1, (head, instr.region, instr.pattern)))
                 else:
-                    entries.append((0, (count, icls, pc, line, instr.srcs,
-                                        instr.dst, lanes, ser, lat, busy,
-                                        memkind, addrs, None)))
+                    append((0, head + (addrs, None)))
             elif icls == _BRANCH and instr.taken_probability < 1.0:
-                entries.append((2, (count, icls, pc, line, instr.srcs,
-                                    instr.dst, lanes, ser, lat, busy,
-                                    instr.taken_probability)))
+                append((2, (head + (0,), instr.taken_probability)))
             else:
-                takens = True if icls == _BRANCH else None
-                entries.append((0, (count, icls, pc, line, instr.srcs,
-                                    instr.dst, lanes, ser, lat, busy,
-                                    0, None, takens)))
+                append((0, head + (0, None,
+                                   True if icls == _BRANCH else None)))
     return entries
 
 
@@ -812,20 +786,15 @@ def _o3_decoded_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
                     if tag == 0:
                         yield payload
                     elif tag == 1:
-                        (count, icls, pc, line, srcs, dst, lanes, ser,
-                         lat, busy, memkind, region, pattern) = payload
+                        head, region, pattern = payload
                         base = region.base
-                        addrs = [base + offset for offset in
-                                 pattern.offsets(region, count, rng)]
-                        yield (count, icls, pc, line, srcs, dst, lanes,
-                               ser, lat, busy, memkind, addrs, None)
+                        yield head + ([base + offset for offset in
+                                       pattern.offsets(region, head[0], rng)],
+                                      None)
                     else:
-                        (count, icls, pc, line, srcs, dst, lanes, ser,
-                         lat, busy, probability) = payload
-                        takens = [rng_random() < probability
-                                  for _ in range(count)]
-                        yield (count, icls, pc, line, srcs, dst, lanes,
-                               ser, lat, busy, 0, None, takens)
+                        head, probability = payload
+                        yield head + (None, [rng_random() < probability
+                                             for _ in range(head[0])])
             elif kind is AssembledLoop:
                 pair = blocks.get(id(node))
                 if pair is None:
@@ -893,8 +862,8 @@ def _o3_legacy_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
             srcs = static.srcs
             dst = static.dst
         memkind = 1 if icls == _LOAD else (2 if icls == is_store else 0)
-        yield (1, icls, static.pc, static.pc >> line_shift, srcs, dst,
-               None, ser_t[icls], lat_t[icls], busy_t[icls], memkind,
+        yield (1, icls, static.pc, static.pc >> line_shift, None, srcs,
+               dst, None, ser_t[icls], lat_t[icls], busy_t[icls], memkind,
                (addr,), taken)
 
 

@@ -1,10 +1,16 @@
 """Tests for the CPU timing models: Atomic, O3, KVM, branch predictor."""
 
+from heapq import heapreplace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cpu.bpred import TournamentPredictor, TwoBitCounterTable
 from repro.sim.cpu.kvm import KvmInstabilityError
+from repro.sim.cpu.o3 import O3Config, _fu_pools
 from repro.sim.isa import ir
+from repro.sim.isa.base import InstrClass
 from repro.sim.system import SimulatedSystem
 
 
@@ -101,6 +107,75 @@ class TestO3:
         assert result.cycles > result.instructions  # memory bound
         dump = system.dump_stats()
         assert dump["s.core1.l1d.misses"] > 1000
+
+
+class ArgminPool:
+    """Reference pool: issue on the lowest-index earliest-free unit."""
+
+    def __init__(self, count):
+        self.free_at = [0] * count
+
+    def acquire(self, earliest, busy_for):
+        free = self.free_at
+        best = min(range(len(free)), key=free.__getitem__)
+        issue = max(earliest, free[best])
+        free[best] = issue + busy_for
+        return issue
+
+
+#: Which ``O3Config`` unit count serves each instruction class.
+POOL_OF_CLASS = {
+    InstrClass.IALU: "int_alus", InstrClass.IMUL: "int_mult_units",
+    InstrClass.IDIV: "int_div_units", InstrClass.FALU: "fp_units",
+    InstrClass.FMUL: "fp_units", InstrClass.FDIV: "fp_units",
+    InstrClass.LOAD: "mem_ports", InstrClass.STORE: "mem_ports",
+}
+
+
+class TestFunctionalUnits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.fixed_dictionaries({
+            name: st.integers(min_value=1, max_value=4)
+            for name in set(POOL_OF_CLASS.values())}),
+        stream=st.lists(st.tuples(
+            st.integers(min_value=0, max_value=len(InstrClass.NAMES) - 1),
+            st.integers(min_value=0, max_value=200),
+            st.integers(min_value=1, max_value=20)), max_size=80),
+    )
+    def test_heaps_issue_like_an_argmin_scan(self, sizes, stream):
+        """The O3 loops' heap pools give the reference pools' cycles."""
+        pools = _fu_pools(O3Config(**sizes))
+        reference = {name: ArgminPool(count) for name, count in sizes.items()}
+        for icls, ready, busy in stream:
+            free = pools[icls]
+            # The issue step of O3Cpu._run and _run_sampled.
+            issue = free[0]
+            if ready > issue:
+                issue = ready
+            heapreplace(free, issue + busy)
+            pool = reference[POOL_OF_CLASS.get(icls, "int_alus")]
+            assert issue == pool.acquire(ready, busy)
+
+    @pytest.mark.parametrize("unrolled", [False, True])
+    def test_dividers_are_unpipelined(self, unrolled):
+        """Each IDIV holds its divider for its 20-cycle latency."""
+        def run(dividers):
+            program = ir.Program("div")
+            block = ir.Block([ir.IROp(ir.OP_IDIV, count=64,
+                                      unrolled=unrolled)], ilp=4)
+            program.add_routine(ir.Routine("main", block), entry=True)
+            system = SimulatedSystem(
+                "s", "riscv", o3_config=O3Config(int_div_units=dividers))
+            result = system.run(1, program, model="o3")
+            divides = system.dump_stats()["s.cpu1.o3.instsByClass::idiv"]
+            return result.cycles, divides
+
+        one, divides = run(1)
+        two, _ = run(2)
+        assert divides >= 64
+        assert one >= 20 * divides
+        assert 10 * divides <= two < 0.6 * one
 
 
 class TestWarmPath:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.cpu.o3 import (
+    _BUSY_BY_CLASS,
+    _LATENCY_BY_CLASS,
+    _SERIALIZING_BY_CLASS,
+)
 from repro.sim.isa import ir, predecode
+from repro.sim.isa.base import AssembledBlock, UnrolledRun
 from repro.sim.isa.trace import _MAX_CALL_DEPTH
 from repro.sim.sampling import SamplingConfig
 from repro.sim.system import SimulatedSystem
@@ -33,6 +39,32 @@ def build_program(name="p", seed=0, ialu=120, trips=20, loads=4, stores=2,
     program.add_routine(
         ir.Routine("main", ir.Seq([init, ir.Call("helper"), body])),
         entry=True)
+    return program
+
+
+def unrolled_shapes(name="unrolled", seed=0, trips=6):
+    """Unrolled ops that ``straightline_block`` never emits — random
+    loads, hot/cold stores, FP compute, always-taken and probabilistic
+    branches — between repeat instructions, replayed from a loop."""
+    program = ir.Program(name, seed=seed)
+    buf = program.space.alloc("buf", 1 << 14)
+    block = ir.Block([
+        ir.IROp(ir.OP_LOAD, count=90, region=buf,
+                pattern=ir.RandomPattern(), unrolled=True),
+        ir.IROp(ir.OP_IALU, count=40),
+        ir.IROp(ir.OP_STORE, count=70, region=buf,
+                pattern=ir.HotColdPattern(), unrolled=True),
+        ir.IROp(ir.OP_FALU, count=60, unrolled=True),
+        ir.IROp(ir.OP_FMUL, count=30, unrolled=True),
+        ir.IROp(ir.OP_FDIV, count=12, unrolled=True),
+        ir.IROp(ir.OP_BRANCH, count=50, taken_probability=1.0,
+                unrolled=True),
+        ir.IROp(ir.OP_BRANCH, count=50, taken_probability=0.4,
+                unrolled=True),
+        ir.IROp(ir.OP_LOAD, count=30, region=buf, unrolled=True),
+    ], kind="stack", ilp=3)
+    program.add_routine(ir.Routine("main", ir.Seq([
+        block, ir.Loop(block, trips=trips)])), entry=True)
     return program
 
 
@@ -115,6 +147,18 @@ class TestEquivalence:
         assert_equivalent(build_vector_program(seed=6), isa, "o3", seed=6,
                           vector=VectorConfig.parse("rvv256"))
 
+    @pytest.mark.parametrize("isa", ISAS)
+    @pytest.mark.parametrize("model", ["atomic", "o3", "warm", "sampled"])
+    def test_unrolled_shapes_bit_identical(self, isa, model):
+        """Every unrolled op kind and pattern, in every replay mode."""
+        sampling = None
+        if model == "sampled":
+            model = "o3"
+            sampling = SamplingConfig(interval=1024, detail=256, warmup=256,
+                                      jitter=True, min_insts=0)
+        assert_equivalent(unrolled_shapes(seed=11), isa, model, seed=11,
+                          sampling=sampling)
+
     def test_warming_equivalent(self):
         program = build_program(seed=1)
         previous = predecode.set_enabled(True)
@@ -146,6 +190,59 @@ class TestEquivalence:
         result = system.run(1, program, model="o3", seed=4)
         assembled = system.assemble(program)
         assert predecode.program_length(assembled) == result.instructions
+
+
+class TestO3Runs:
+    """The shape of the O3 run stream."""
+
+    @staticmethod
+    def stream(assembled, seed=0):
+        return list(predecode.o3_stream(
+            assembled, seed, 6, _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
+            _SERIALIZING_BY_CLASS))
+
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_unrolled_segment_is_one_run(self, isa):
+        """A block of k unrolled ops decodes to k runs, one per segment,
+        carrying the materialized instructions' PCs."""
+        program = ir.Program("seg", seed=4)
+        buf = program.space.alloc("buf", 1 << 12)
+        program.add_routine(ir.Routine(
+            "main", ir.straightline_block(400, data_region=buf)),
+            entry=True)
+        assembled = SimulatedSystem("s", isa).assemble(program)
+        block, _ = assembled.routines[assembled.entry].body
+        segments = block.segments
+        assert all(type(segment) is UnrolledRun for segment in segments)
+        runs = self.stream(assembled)
+        # One run per segment, then the routine's return.
+        assert len(runs) == len(segments) + 1 == 5
+        assert runs[-1][4] is None
+        for run, segment in zip(runs, segments):
+            count, _, pc, line, pcs = run[:5]
+            assert count == segment.count
+            instrs = segment.materialize()
+            assert list(pcs) == [instr.pc for instr in instrs]
+            assert (pc, line) == (instrs[0].pc, instrs[0].pc >> 6)
+        assert sum(run[0] for run in runs) == \
+            predecode.program_length(assembled)
+
+    def test_repeat_runs_share_one_pc(self):
+        """Repeat instructions and loop/call edges carry no PC array."""
+        program = build_program(seed=8)
+        assembled = SimulatedSystem("s", "riscv").assemble(program)
+        runs = self.stream(assembled, seed=8)
+        unrolled = sum(
+            1 for routine in assembled.routines.values()
+            for node in routine.body if type(node) is AssembledBlock
+            for segment in node.segments if type(segment) is UnrolledRun)
+        assert unrolled
+        with_pcs = [run for run in runs if run[4] is not None]
+        # No unrolled segment sits in a loop: each replays exactly once.
+        assert len(with_pcs) == unrolled
+        assert all(len(run[4]) == run[0] for run in with_pcs)
+        assert sum(run[0] for run in runs) == \
+            predecode.program_length(assembled)
 
 
 class TestCallDepth:
