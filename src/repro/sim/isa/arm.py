@@ -59,4 +59,4 @@ class ArmISA(ISA):
         return 4  # fixed-width A64 encoding
 
     def instr_sizes(self, rng: random.Random, count: int):
-        return [4] * count  # instr_size draws nothing from the stream
+        return b"\x04" * count  # instr_size draws nothing from the stream

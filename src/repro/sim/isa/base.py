@@ -137,17 +137,18 @@ class UnrolledRun:
     :class:`StaticInstr` per unrolled instance — six-figure object
     counts for straight-line boot code — even though the predecode tier
     consumes each block exactly once and then replays flat tuples.  A
-    run keeps the compact description (op kind, pre-drawn size stream,
-    base PC, register-chain position); the predecode decoders consume it
-    directly, and :meth:`materialize` produces the byte-identical
-    per-instruction form for the legacy tier on first demand.
+    run keeps the compact description (op kind, pre-drawn size stream
+    as ``bytes``, base PC, register-chain position); the predecode
+    decoders consume it directly, and :meth:`materialize` produces the
+    byte-identical per-instruction form for the legacy tier on first
+    demand.
     """
 
     __slots__ = ("kind", "icls", "count", "base_pc", "sizes", "chain",
                  "ilp", "fp", "region", "pattern", "probability")
 
     def __init__(self, kind: str, icls: int, count: int, base_pc: int,
-                 sizes: List[int], chain: int, ilp: int, fp: bool,
+                 sizes: bytes, chain: int, ilp: int, fp: bool,
                  region, pattern, probability: float):
         self.kind = kind
         self.icls = icls
@@ -376,17 +377,19 @@ class ISA:
             return self.vector.vlen
         return 128
 
-    def instr_sizes(self, rng: random.Random, count: int) -> List[int]:
-        """``count`` sizes from the layout stream in one call.
+    def instr_sizes(self, rng: random.Random, count: int) -> bytes:
+        """``count`` sizes from the layout stream in one call, one byte each.
 
         Must consume ``rng`` exactly as ``count`` :meth:`instr_size`
         calls would — program layout (and therefore every downstream
         digest) depends on the draw order.  Subclasses override this
         with a loop-free or comprehension form; unrolled lowering emits
         hundreds of thousands of instructions, so the per-call method
-        dispatch is measurable.
+        dispatch is measurable.  The result is ``bytes`` because an
+        :class:`UnrolledRun` keeps it for the program's lifetime: one
+        byte per instance, not a list slot.
         """
-        return [self.instr_size(rng) for _ in range(count)]
+        return bytes([self.instr_size(rng) for _ in range(count)])
 
     def expansion_for(self, op_kind: str, block_kind: str) -> float:
         factor = self.expansion.get((op_kind, block_kind), 1.0)
@@ -650,16 +653,6 @@ class ISA:
         )
         ctx.pc += sum(sizes)
         return run, chain + count
-
-    @staticmethod
-    def _unrolled_pattern(
-        pattern: Optional[ir.AddressPattern], index: int
-    ) -> Optional[ir.AddressPattern]:
-        """Give the index-th unrolled copy of a strided op its own offset."""
-        if isinstance(pattern, ir.StridePattern):
-            return ir.StridePattern(stride=pattern.stride,
-                                    start=pattern.start + index * pattern.stride)
-        return pattern
 
 
 class _AsmContext:

@@ -11,11 +11,19 @@ requests), so all of that work is redundant after the first replay.
 This module decodes each *static* :class:`~repro.sim.isa.base.AssembledBlock`
 exactly once per consumer into flat tuples, and replays those:
 
-* ``atomic_run``  — timed in-order replay for ``AtomicCpu.run_program``,
+* ``atomic_run``  — timed in-order replay for ``AtomicCpu.run_program``:
+  one step per repeat instruction or fetch point, and one step per
+  unrolled segment (an I-cache line split for compute and branch
+  runs; memory runs replay straight from the segment's sizes),
 * ``warm_run``    — untimed functional warming for ``BaseCpu.warm_program``,
 * ``o3_stream``   — resolved instruction *runs* (one tuple per repeat
   instruction, loop/call edge or unrolled segment) consumed by the O3
   model's pipeline loops.
+
+Boot blocks are straight-line segments of up to millions of unrolled
+instructions that each replay once per process, so the Atomic decode
+of an :class:`~repro.sim.isa.base.UnrolledRun` does no per-instance
+work in Python and caches nothing per instance.
 
 This is the only fast tier.  Replay is **bit-identical** to the legacy
 trace path, which stays as the reference: the same rng draws in the
@@ -33,6 +41,8 @@ the static instructions they index and never go stale.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterator, List, Optional, Tuple
 
@@ -168,94 +178,91 @@ def program_length(assembled) -> int:
 # Atomic replay
 # ---------------------------------------------------------------------------
 #
-# Decoded step vocabulary (tag first):
+# Decoded step vocabulary (tag first).  Repeat instructions:
 #   (0, pc, line)                        fetch point: ifetch on line change
 #   (1, n)                               n plain instructions: cycles += n
 #   (2, n)                               n branch-probability draws + n cycles
 #   (3, n)                               n syscalls: cycles += 21 * n
 #   (4, write, pc, addrs)                memory run, precomputed addresses
 #   (5, write, pc, region, pattern, n)   memory run, rng-drawn addresses
-#   (6, write, pairs)                    memory run, precomputed (pc, addr)
-#                                        pairs spanning several static
-#                                        instructions (unrolled lowering)
+# Each UnrolledRun is one step that holds nothing per instance but the
+# run's own ``sizes``:
+#   (6, pcs, ns, draws)                  compute / branch run: per I-cache
+#                                        line, ifetch on line change at
+#                                        pcs[i], then ns[i] cycles; a p<1
+#                                        branch run first draws its
+#                                        ``draws`` outcomes
+#   (7, write, pc, sizes, base, rsize, offset, stride)
+#                                        stride memory run: per instance,
+#                                        ifetch on line change, then the
+#                                        access at base + offset
+#   (8, write, pc, sizes, region, pattern)
+#                                        rng-drawn memory run, the same
+#                                        with one pattern.offsets() draw
 #
 # Plain cycles accumulate across consecutive non-memory, non-drawing
-# instructions and flush before any step that observes the cycle count
-# or the rng, so every data_access() sees exactly the legacy cycle.
+# repeat instructions and flush before any step that observes the cycle
+# count or the rng, so every ifetch() and data_access() sees exactly the
+# legacy cycle.  Neither reads the trace rng, so a run's outcome draws
+# may all come before its fetches: the rng sees the legacy order.
 
 
-def _decode_atomic_run(run, line_shift, steps, append, counts, prev_line,
-                       pending):
-    """Decode one :class:`UnrolledRun` straight from its compact form.
+def _split_lines(pc, sizes, line_shift):
+    """Split an unrolled run by I-cache line: ``(pcs, ns)`` arrays.
 
-    Emits the same access stream the materialized per-instruction form
-    decodes to — same fetch points, same per-access PCs and addresses —
-    without ever creating the ``StaticInstr`` objects.
+    ``pcs[i]`` is the PC of the first instance that starts in the run's
+    i-th line and ``ns[i]`` how many instances start there.  Bisecting
+    the run's accumulated PCs (an array dropped on return) keeps the
+    Python loop to one pass per line.  Sizes are at least one byte, so
+    no line holds more than ``1 << line_shift`` instances: that bounds
+    each bisect window.
+    """
+    starts = array("Q", accumulate(sizes, initial=pc))
+    count = len(sizes)
+    width = 1 << line_shift
+    mask = width - 1
+    pcs = array("Q")
+    ns = array("I")
+    add_pc = pcs.append
+    add_n = ns.append
+    index = 0
+    while index < count:
+        pc = starts[index]
+        end = bisect_left(starts, (pc | mask) + 1, index + 1,
+                          min(index + width, count))
+        add_pc(pc)
+        add_n(end - index)
+        index = end
+    return pcs, ns
+
+
+def _decode_atomic_run(run, line_shift, append, counts):
+    """Decode one :class:`UnrolledRun` to one step; returns its last line.
+
+    The step replays the same fetches, cycles, per-access PCs and
+    addresses, and rng draws as the materialized per-instruction form,
+    without creating the ``StaticInstr`` objects or any per-instance
+    step.
     """
     icls = run.icls
     counts[icls] += run.count
     pc = run.base_pc
     sizes = run.sizes
     if icls == _LOAD or icls == _STORE:
-        if pending:
-            append((1, pending))
-            pending = 0
         write = icls == _STORE
+        region = run.region
         pattern = run.pattern
         if type(pattern) is ir.StridePattern:
-            region = run.region
-            rbase = region.base
             rsize = region.size
-            stride = pattern.stride
-            start = pattern.start
-            pairs: List[tuple] = []
-            for index, size in enumerate(sizes):
-                line = pc >> line_shift
-                if line != prev_line:
-                    if pairs:
-                        append((6, write, tuple(pairs)))
-                        pairs = []
-                    append((0, pc, line))
-                    prev_line = line
-                pairs.append((pc, rbase + (start + index * stride) % rsize))
-                pc += size
-            if pairs:
-                append((6, write, tuple(pairs)))
+            append((7, write, pc, sizes, region.base, rsize,
+                    pattern.start % rsize, pattern.stride))
         else:
-            region = run.region
-            for size in sizes:
-                line = pc >> line_shift
-                if line != prev_line:
-                    append((0, pc, line))
-                    prev_line = line
-                append((5, write, pc, region, pattern, 1))
-                pc += size
-    elif icls == _BRANCH and run.probability < 1.0:
-        if pending:
-            append((1, pending))
-            pending = 0
-        for size in sizes:
-            line = pc >> line_shift
-            if line != prev_line:
-                append((0, pc, line))
-                prev_line = line
-            if steps and steps[-1][0] == 2:
-                steps[-1] = (2, steps[-1][1] + 1)
-            else:
-                append((2, 1))
-            pc += size
-    else:  # compute / always-taken branch: plain cycles
-        for size in sizes:
-            line = pc >> line_shift
-            if line != prev_line:
-                if pending:
-                    append((1, pending))
-                    pending = 0
-                append((0, pc, line))
-                prev_line = line
-            pending += 1
-            pc += size
-    return prev_line, pending
+            append((8, write, pc, sizes, region, pattern))
+        return (pc + sum(sizes) - sizes[-1]) >> line_shift
+    pcs, ns = _split_lines(pc, sizes, line_shift)
+    draws = run.count if icls == _BRANCH and run.probability < 1.0 else 0
+    append((6, pcs, ns, draws))
+    return pcs[-1] >> line_shift
 
 
 def _decode_atomic_block(block, line_shift: int):
@@ -266,9 +273,11 @@ def _decode_atomic_block(block, line_shift: int):
     pending = 0
     for segment in block.segments:
         if type(segment) is UnrolledRun:
-            prev_line, pending = _decode_atomic_run(
-                segment, line_shift, steps, append, counts, prev_line,
-                pending)
+            if pending:
+                append((1, pending))
+                pending = 0
+            prev_line = _decode_atomic_run(segment, line_shift, append,
+                                           counts)
             continue
         for instr in segment:
             pc = instr.pc
@@ -368,10 +377,47 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                             cycles += data_access(base + offset, write,
                                                   cycles, pc)
                     elif tag == 6:
+                        for _ in range(step[3]):
+                            rng_random()
+                        for pc, n in zip(step[1], step[2]):
+                            line = pc >> line_shift
+                            if line != current_line:
+                                cycles += ifetch(pc, cycles)
+                                current_line = line
+                            cycles += n
+                    elif tag == 7:
                         write = step[1]
-                        for pc, addr in step[2]:
+                        pc = step[2]
+                        rbase = step[4]
+                        rsize = step[5]
+                        offset = step[6]
+                        stride = step[7]
+                        for size in step[3]:
+                            line = pc >> line_shift
+                            if line != current_line:
+                                cycles += ifetch(pc, cycles)
+                                current_line = line
                             cycles += 1
-                            cycles += data_access(addr, write, cycles, pc)
+                            cycles += data_access(rbase + offset, write,
+                                                  cycles, pc)
+                            pc += size
+                            offset = (offset + stride) % rsize
+                    elif tag == 8:
+                        write = step[1]
+                        pc = step[2]
+                        sizes = step[3]
+                        region = step[4]
+                        base = region.base
+                        for size, offset in zip(sizes, step[5].offsets(
+                                region, len(sizes), rng)):
+                            line = pc >> line_shift
+                            if line != current_line:
+                                cycles += ifetch(pc, cycles)
+                                current_line = line
+                            cycles += 1
+                            cycles += data_access(base + offset, write,
+                                                  cycles, pc)
+                            pc += size
                     elif tag == 2:
                         n = step[1]
                         for _ in range(n):
@@ -491,12 +537,11 @@ def _decode_warm_run(run, line_shift, append, prev_line):
                 append((4, pc, 1, probability))
             pc += size
     else:  # compute: only fetch points matter for warming
-        for size in sizes:
+        for pc in _split_lines(pc, sizes, line_shift)[0]:
             line = pc >> line_shift
             if line != prev_line:
                 append((0, pc, line))
                 prev_line = line
-            pc += size
     return prev_line
 
 

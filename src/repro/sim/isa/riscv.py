@@ -65,4 +65,5 @@ class RiscvISA(ISA):
     def instr_sizes(self, rng: random.Random, count: int):
         random_ = rng.random
         compressed = self.compressed_fraction
-        return [2 if random_() < compressed else 4 for _ in range(count)]
+        return bytes([2 if random_() < compressed else 4
+                      for _ in range(count)])

@@ -71,33 +71,18 @@ class X86ISA(ISA):
     #: x86-64 integer code from compiler output.
     _SIZES = (2, 3, 4, 5, 6, 7, 8)
     _WEIGHTS = (18, 24, 22, 16, 10, 6, 4)
-    _CUMULATIVE = []
-    _total = 0
-    for _size, _weight in zip(_SIZES, _WEIGHTS):
-        _total += _weight
-        _CUMULATIVE.append((_total, _size))
-    del _size, _weight
+    _total = sum(_WEIGHTS)
+    #: The size each ``randrange(_total)`` draw picks, as a
+    #: ``bytes.translate`` table: ``_WEIGHTS[i]`` picks in a row map to
+    #: ``_SIZES[i]``; the padding past ``_total`` is never indexed.
+    _BY_PICK = b"".join(bytes([size]) * weight
+                        for size, weight in zip(_SIZES, _WEIGHTS)).ljust(256)
 
     def instr_size(self, rng: random.Random) -> int:
-        pick = rng.randrange(self._total)
-        for bound, size in self._CUMULATIVE:
-            if pick < bound:
-                return size
-        return self._SIZES[-1]
+        return self._BY_PICK[rng.randrange(self._total)]
 
     def instr_sizes(self, rng: random.Random, count: int):
         randrange = rng.randrange
         total = self._total
-        cumulative = self._CUMULATIVE
-        fallback = self._SIZES[-1]
-        out = []
-        append = out.append
-        for _ in range(count):
-            pick = randrange(total)
-            for bound, size in cumulative:
-                if pick < bound:
-                    append(size)
-                    break
-            else:
-                append(fallback)
-        return out
+        return bytes([randrange(total) for _ in range(count)]).translate(
+            self._BY_PICK)

@@ -211,6 +211,20 @@ class TestInstrSizes:
         for _ in range(200):
             assert 2 <= isa.instr_size(rng) <= 8
 
+    @pytest.mark.parametrize("name", ["riscv", "x86", "arm"])
+    def test_bulk_sizes_are_bytes_drawn_as_single_calls(self, name):
+        """``instr_sizes`` draws exactly as repeated ``instr_size`` calls,
+        one byte per instruction."""
+        import random
+        isa = get_isa(name)
+        bulk_rng = random.Random(7)
+        single_rng = random.Random(7)
+        sizes = isa.instr_sizes(bulk_rng, 500)
+        assert type(sizes) is bytes
+        assert list(sizes) == [isa.instr_size(single_rng)
+                               for _ in range(500)]
+        assert bulk_rng.getstate() == single_rng.getstate()
+
     def test_get_isa_unknown(self):
         with pytest.raises(ValueError):
             get_isa("sparc")

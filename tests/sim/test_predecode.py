@@ -1,7 +1,7 @@
 """Block predecode cache equivalence: cached replay is bit-identical to
 the legacy trace path — RunResult, full stat dumps, and trace event logs
-— across ISAs, CPU models, sampling, seeds, program shapes and call
-depths."""
+— across ISAs, CPU models, sampling, seeds, program shapes, I-cache line
+sizes and call depths."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +15,12 @@ from repro.sim.cpu.o3 import (
 from repro.sim.isa import ir, predecode
 from repro.sim.isa.base import AssembledBlock, UnrolledRun
 from repro.sim.isa.trace import _MAX_CALL_DEPTH
+from repro.sim.mem.hierarchy import MemoryHierarchyConfig
 from repro.sim.sampling import SamplingConfig
 from repro.sim.system import SimulatedSystem
 
 ISAS = ("riscv", "x86", "arm")
+LINE_SIZES = (16, 32, 64, 128)
 
 
 def build_program(name="p", seed=0, ialu=120, trips=20, loads=4, stores=2,
@@ -68,6 +70,44 @@ def unrolled_shapes(name="unrolled", seed=0, trips=6):
     return program
 
 
+def straightline(name="straight", seed=0, instrs=600):
+    """One boot-style block: unrolled compute, stride loads and stores,
+    and p<1 branches, every segment an ``UnrolledRun``."""
+    program = ir.Program(name, seed=seed)
+    buf = program.space.alloc("buf", 1 << 14)
+    program.add_routine(ir.Routine(
+        "main", ir.straightline_block(instrs, data_region=buf)), entry=True)
+    return program
+
+
+def edge_runs(seed=0):
+    """Count-1 unrolled runs of every kind, and unrolled runs right
+    after a repeat instruction, whose first instance can share its line.
+    ``app`` blocks lower each count-1 op to one instruction on riscv and
+    x86 alike."""
+    program = ir.Program("edges", seed=seed)
+    buf = program.space.alloc("buf", 1 << 12)
+    program.add_routine(ir.Routine("main", ir.Block([
+        ir.IROp(ir.OP_IALU, count=1, unrolled=True),
+        ir.IROp(ir.OP_IALU, count=3),
+        ir.IROp(ir.OP_FALU, count=40, unrolled=True),
+        ir.IROp(ir.OP_IMUL, count=2),
+        ir.IROp(ir.OP_LOAD, count=1, region=buf, unrolled=True),
+        ir.IROp(ir.OP_STORE, count=5, region=buf,
+                pattern=ir.RandomPattern()),
+        ir.IROp(ir.OP_STORE, count=1, region=buf,
+                pattern=ir.HotColdPattern(), unrolled=True),
+        ir.IROp(ir.OP_BRANCH, count=1, taken_probability=0.5,
+                unrolled=True),
+        ir.IROp(ir.OP_IALU, count=4),
+        ir.IROp(ir.OP_BRANCH, count=30, taken_probability=0.5,
+                unrolled=True),
+        ir.IROp(ir.OP_LOAD, count=20, region=buf,
+                pattern=ir.RandomPattern(), unrolled=True),
+    ], kind="app", ilp=2)), entry=True)
+    return program
+
+
 def call_chain(depth):
     """``main`` -> ``r1`` -> ... -> ``r<depth>``: ``depth`` nested calls."""
     program = ir.Program("chain%d" % depth, seed=depth)
@@ -88,16 +128,23 @@ def self_recursive():
     return program
 
 
+def system_for(isa, line_size=64, vector=None):
+    return SimulatedSystem(
+        "s", isa, vector=vector,
+        mem_config=MemoryHierarchyConfig(line_size=line_size))
+
+
 def run_with(enabled, program, isa, model, seed, sampling=None,
-             vector=None):
+             vector=None, line_size=64):
     """One replay on a fresh system: its result and full stat dump.
 
     ``model`` is a CPU model, or ``"warm"`` for functional warming with
-    an O3 branch predictor attached.
+    an O3 branch predictor attached.  ``line_size`` is the cache line
+    size in bytes, which sets the I-cache fetch granularity.
     """
     previous = predecode.set_enabled(enabled)
     try:
-        system = SimulatedSystem("s", isa, vector=vector)
+        system = system_for(isa, line_size, vector)
         if model == "warm":
             system.cpu(1, "o3")  # instantiate so warming trains bpred
             result = system.warm(1, program, seed=seed)
@@ -112,10 +159,39 @@ def run_with(enabled, program, isa, model, seed, sampling=None,
 
 
 def assert_equivalent(program, isa, model, seed=0, sampling=None,
-                      vector=None):
-    cached = run_with(True, program, isa, model, seed, sampling, vector)
-    legacy = run_with(False, program, isa, model, seed, sampling, vector)
+                      vector=None, line_size=64):
+    cached = run_with(True, program, isa, model, seed, sampling, vector,
+                      line_size)
+    legacy = run_with(False, program, isa, model, seed, sampling, vector,
+                      line_size)
     assert cached == legacy
+
+
+def memory_calls(enabled, program, isa, seed=0, line_size=64):
+    """Every ``ifetch`` and ``data_access`` of one Atomic replay, with
+    its arguments: PC, address, write flag and cycle."""
+    previous = predecode.set_enabled(enabled)
+    try:
+        system = system_for(isa, line_size)
+        mem = system.cores[1]
+        ifetch = mem.ifetch
+        data_access = mem.data_access
+        calls = []
+
+        def record_ifetch(pc, now):
+            calls.append(("ifetch", pc, now))
+            return ifetch(pc, now)
+
+        def record_data_access(addr, write, now, pc):
+            calls.append(("data", addr, write, now, pc))
+            return data_access(addr, write, now, pc)
+
+        mem.ifetch = record_ifetch
+        mem.data_access = record_data_access
+        system.run(1, program, model="atomic", seed=seed)
+        return calls
+    finally:
+        predecode.set_enabled(previous)
 
 
 class TestEquivalence:
@@ -158,6 +234,16 @@ class TestEquivalence:
                                       jitter=True, min_insts=0)
         assert_equivalent(unrolled_shapes(seed=11), isa, model, seed=11,
                           sampling=sampling)
+
+    @pytest.mark.parametrize("line_size", LINE_SIZES)
+    @pytest.mark.parametrize("isa", ("riscv", "x86"))
+    @pytest.mark.parametrize("model", ["atomic", "warm"])
+    @pytest.mark.parametrize("shape", ["unrolled", "straightline"])
+    def test_line_sizes_bit_identical(self, shape, model, isa, line_size):
+        """Line splits of unrolled runs hold at every fetch granularity."""
+        program = (unrolled_shapes(seed=13) if shape == "unrolled"
+                   else straightline(seed=13))
+        assert_equivalent(program, isa, model, seed=13, line_size=line_size)
 
     def test_warming_equivalent(self):
         program = build_program(seed=1)
@@ -245,6 +331,73 @@ class TestO3Runs:
             predecode.program_length(assembled)
 
 
+class TestAtomicSteps:
+    """The shape of the Atomic step list: one step per unrolled segment,
+    holding at most one entry per I-cache line."""
+
+    @staticmethod
+    def cached_steps(program, isa, line_size=64):
+        """Replay once on Atomic; the entry block and its cached steps."""
+        system = system_for(isa, line_size)
+        system.run(1, program, model="atomic", seed=0)
+        assembled = system.assemble(program)
+        block = assembled.routines[assembled.entry].body[0]
+        cache = assembled._predecode[("atomic", line_size.bit_length() - 1)]
+        steps, _ = cache[id(block)]
+        return block, steps
+
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_unrolled_segment_is_one_step(self, isa):
+        block, steps = self.cached_steps(straightline(seed=4), isa)
+        assert all(type(segment) is UnrolledRun for segment in block.segments)
+        assert len(steps) == len(block.segments) == 4
+
+    @pytest.mark.parametrize("line_size", LINE_SIZES)
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_at_most_one_entry_per_line(self, isa, line_size):
+        """Besides each run's own ``sizes``, the steps hold no more
+        entries than the lines the runs touch: nothing per instance."""
+        block, steps = self.cached_steps(straightline(seed=4, instrs=3000),
+                                         isa, line_size)
+        shift = line_size.bit_length() - 1
+        own = {id(run.sizes) for run in block.segments}
+        lines = 0
+        for run in block.segments:
+            last_pc = run.base_pc + sum(run.sizes) - run.sizes[-1]
+            lines += (last_pc >> shift) - (run.base_pc >> shift) + 1
+        held = 0
+        for step in steps:
+            held += max((len(part) for part in step
+                         if hasattr(part, "__len__") and id(part) not in own),
+                        default=1)
+        assert held <= lines
+        # Instances outnumber lines, so per-instance data breaks the bound.
+        assert sum(run.count for run in block.segments) > 2 * lines
+
+    @pytest.mark.parametrize("line_size", LINE_SIZES)
+    @pytest.mark.parametrize("isa", ("riscv", "x86"))
+    def test_edge_runs_fetch_as_tier_1(self, isa, line_size):
+        """Count-1 runs, and runs whose first instance shares a line with
+        the repeat instruction before them: the same ifetch and
+        data_access calls, with the same arguments, as the legacy walk."""
+        program = edge_runs(seed=5)
+        block = system_for(isa).assemble(program).routines["main"].body[0]
+        runs = [segment for segment in block.segments
+                if type(segment) is UnrolledRun]
+        assert sum(run.count == 1 for run in runs) == 4
+        shift = line_size.bit_length() - 1
+        shared = 0
+        for before, segment in zip(block.segments, block.segments[1:]):
+            if type(segment) is UnrolledRun and type(before) is list:
+                shared += (before[-1].pc >> shift) == (segment.base_pc >> shift)
+        assert shared
+        cached = memory_calls(True, program, isa, seed=5, line_size=line_size)
+        legacy = memory_calls(False, program, isa, seed=5,
+                              line_size=line_size)
+        assert cached == legacy
+        assert any(call[0] == "ifetch" for call in cached)
+
+
 class TestCallDepth:
     """Both tiers stop at the same call depth, with the same error."""
 
@@ -321,3 +474,24 @@ def test_property_equivalence(isa, seed, trips, taken_probability,
                             taken_probability=taken_probability,
                             random_pattern=random_pattern)
     assert_equivalent(program, isa, model, seed=seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=15), min_size=1,
+                   max_size=300),
+    pc=st.integers(min_value=0, max_value=2 ** 62),
+    line_shift=st.integers(min_value=3, max_value=7),
+)
+def test_split_lines_matches_naive_grouping(sizes, pc, line_shift):
+    """The bisecting line split equals grouping instances one by one."""
+    naive = []
+    start = pc
+    for size in sizes:
+        if naive and naive[-1][0] >> line_shift == start >> line_shift:
+            naive[-1][1] += 1
+        else:
+            naive.append([start, 1])
+        start += size
+    pcs, ns = predecode._split_lines(pc, bytes(sizes), line_shift)
+    assert [list(entry) for entry in zip(pcs, ns)] == naive
