@@ -192,13 +192,11 @@ def program_length(assembled) -> int:
 #                                        pcs[i], then ns[i] cycles; a p<1
 #                                        branch run first draws its
 #                                        ``draws`` outcomes
-#   (7, write, pc, sizes, base, rsize, offset, stride)
-#                                        stride memory run: per instance,
-#                                        ifetch on line change, then the
-#                                        access at base + offset
-#   (8, write, pc, sizes, region, pattern)
-#                                        rng-drawn memory run, the same
-#                                        with one pattern.offsets() draw
+#   (7, write, pc, sizes, region, pattern)
+#                                        memory run: per instance, ifetch
+#                                        on line change, then one access;
+#                                        one pattern.offsets() call gives
+#                                        the run's addresses
 #
 # Plain cycles accumulate across consecutive non-memory, non-drawing
 # repeat instructions and flush before any step that observes the cycle
@@ -249,15 +247,7 @@ def _decode_atomic_run(run, line_shift, append, counts):
     pc = run.base_pc
     sizes = run.sizes
     if icls == _LOAD or icls == _STORE:
-        write = icls == _STORE
-        region = run.region
-        pattern = run.pattern
-        if type(pattern) is ir.StridePattern:
-            rsize = region.size
-            append((7, write, pc, sizes, region.base, rsize,
-                    pattern.start % rsize, pattern.stride))
-        else:
-            append((8, write, pc, sizes, region, pattern))
+        append((7, icls == _STORE, pc, sizes, run.region, run.pattern))
         return (pc + sum(sizes) - sizes[-1]) >> line_shift
     pcs, ns = _split_lines(pc, sizes, line_shift)
     draws = run.count if icls == _BRANCH and run.probability < 1.0 else 0
@@ -386,23 +376,6 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                                 current_line = line
                             cycles += n
                     elif tag == 7:
-                        write = step[1]
-                        pc = step[2]
-                        rbase = step[4]
-                        rsize = step[5]
-                        offset = step[6]
-                        stride = step[7]
-                        for size in step[3]:
-                            line = pc >> line_shift
-                            if line != current_line:
-                                cycles += ifetch(pc, cycles)
-                                current_line = line
-                            cycles += 1
-                            cycles += data_access(rbase + offset, write,
-                                                  cycles, pc)
-                            pc += size
-                            offset = (offset + stride) % rsize
-                    elif tag == 8:
                         write = step[1]
                         pc = step[2]
                         sizes = step[3]
