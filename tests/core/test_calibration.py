@@ -9,6 +9,54 @@ from repro.sim.sampling import SamplingConfig
 
 CPI_BOUND = 0.05
 
+#: (function, phase) -> (full_cycles, sampled_cycles) of the ``accurate``
+#: report at the calibration scale.  Sampled timing drift shows here even
+#: when it stays inside the CPI bound.
+ACCURATE_CYCLES = {
+    ('fibonacci-go', 'cold'): (11174, 11174),
+    ('fibonacci-go', 'warm'): (2109, 2109),
+    ('fibonacci-python', 'cold'): (23165, 23138),
+    ('fibonacci-python', 'warm'): (1423, 1423),
+    ('fibonacci-nodejs', 'cold'): (21679, 21679),
+    ('fibonacci-nodejs', 'warm'): (2840, 2840),
+    ('aes-go', 'cold'): (11183, 11183),
+    ('aes-go', 'warm'): (2111, 2111),
+    ('aes-python', 'cold'): (22762, 22770),
+    ('aes-python', 'warm'): (1212, 1212),
+    ('aes-nodejs', 'cold'): (21297, 21297),
+    ('aes-nodejs', 'warm'): (2596, 2596),
+    ('auth-go', 'cold'): (11095, 11095),
+    ('auth-go', 'warm'): (2072, 2072),
+    ('auth-python', 'cold'): (22341, 22388),
+    ('auth-python', 'warm'): (1185, 1185),
+    ('auth-nodejs', 'cold'): (21252, 21252),
+    ('auth-nodejs', 'warm'): (2551, 2551),
+    ('productcatalogservice-go', 'cold'): (13005, 13005),
+    ('productcatalogservice-go', 'warm'): (2493, 2493),
+    ('shippingservice-go', 'cold'): (11108, 11108),
+    ('shippingservice-go', 'warm'): (2066, 2066),
+    ('recommendationservice-python', 'cold'): (27306, 27888),
+    ('recommendationservice-python', 'warm'): (1980, 1980),
+    ('emailservice-python', 'cold'): (15492, 15492),
+    ('emailservice-python', 'warm'): (1236, 1236),
+    ('currencyservice-nodejs', 'cold'): (21201, 21201),
+    ('currencyservice-nodejs', 'warm'): (2545, 2545),
+    ('paymentservice-nodejs', 'cold'): (21174, 21174),
+    ('paymentservice-nodejs', 'warm'): (2545, 2545),
+    ('hotel-geo-go', 'cold'): (101044, 100660),
+    ('hotel-geo-go', 'warm'): (3749, 3749),
+    ('hotel-recommendation-go', 'cold'): (101167, 100794),
+    ('hotel-recommendation-go', 'warm'): (3724, 3724),
+    ('hotel-user-go', 'cold'): (99420, 98542),
+    ('hotel-user-go', 'warm'): (3388, 3388),
+    ('hotel-reservation-go', 'cold'): (115933, 116312),
+    ('hotel-reservation-go', 'warm'): (3225, 3225),
+    ('hotel-rate-go', 'cold'): (165228, 166192),
+    ('hotel-rate-go', 'warm'): (3424, 3424),
+    ('hotel-profile-go', 'cold'): (259200, 260610),
+    ('hotel-profile-go', 'warm'): (2445, 2445),
+}
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -39,6 +87,11 @@ def test_functionally_exact(report):
     assert report.functional_exact
     for row in report.rows:
         assert row.insts_match, row.function
+
+
+def test_cycles_match_goldens(report):
+    assert {(row.function, row.phase): (row.full_cycles, row.sampled_cycles)
+            for row in report.rows} == ACCURATE_CYCLES
 
 
 def test_cpi_error_within_documented_bound(report):
