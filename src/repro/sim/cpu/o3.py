@@ -14,6 +14,10 @@ chains overlap exactly as they would in hardware.  This
 enough to run the thesis's full experiment matrix in pure Python while
 retaining cycle-level sensitivity to cache misses, mispredicts and ILP —
 the effects the thesis's figures are built on.
+
+One method, :meth:`O3Cpu._pipeline`, holds the pipeline: full detail
+runs it once over the whole stream, and sampled simulation
+(:mod:`repro.sim.sampling`) runs it once per detail window.
 """
 
 from __future__ import annotations
@@ -138,6 +142,57 @@ def _fu_pools(cfg: O3Config) -> tuple:
             alu, alu)
 
 
+def _cut(run, start, stop):
+    """Instances ``start`` to ``stop`` of an O3 run, as a run of its own.
+
+    The per-instance fields are cut (``pcs``, ``addrs`` and a list of
+    ``takens``) and ``lanes`` is rotated so that the cut's instance 0
+    keeps instance ``start``'s lane.  ``pc`` and ``line`` stay as they
+    are: the pipeline reads them only when ``pcs`` is None, and then
+    every instance shares them.
+    """
+    if start == 0 and stop == run[0]:
+        return run
+    (_, icls, pc, line, pcs, srcs, dst, lanes, serializing, latency, busy,
+     memkind, addrs, takens) = run
+    if pcs is not None:
+        pcs = pcs[start:stop]
+    if lanes is not None:
+        shift = start % len(lanes)
+        lanes = lanes[shift:] + lanes[:shift]
+    if addrs is not None:
+        addrs = addrs[start:stop]
+    if type(takens) is list:
+        takens = takens[start:stop]
+    return (stop - start, icls, pc, line, pcs, srcs, dst, lanes,
+            serializing, latency, busy, memkind, addrs, takens)
+
+
+def _window(run, index, runs, room, rest):
+    """The runs of one detail window, cut at the window's edges.
+
+    The window starts at instance ``index`` of ``run`` and draws further
+    runs from the iterator ``runs`` until ``room`` instances are out or
+    the stream ends.  A run that reaches past the window is cut there,
+    and ``(run, end)`` is left in ``rest`` for the caller to resume at.
+    """
+    while True:
+        count = run[0]
+        end = index + room
+        if end < count:
+            rest.append((run, end))
+            yield _cut(run, index, end)
+            return
+        yield _cut(run, index, count)
+        room = end - count
+        if not room:
+            return
+        run = next(runs, None)
+        if run is None:
+            return
+        index = 0
+
+
 class O3Cpu(BaseCpu):
     """Detailed out-of-order core model."""
 
@@ -174,30 +229,42 @@ class O3Cpu(BaseCpu):
                 return self._run_sampled(assembled, seed, sampling)
         return self._run(assembled, seed)
 
-    def _run(self, assembled, seed: int = 0) -> RunResult:
-        """The pipeline model over the predecoded instruction-run stream.
+    def _stream(self, assembled, seed):
+        return predecode.o3_stream(assembled, seed, self.mem._line_shift,
+                                   _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
+                                   _SERIALIZING_BY_CLASS)
 
-        One loop serves both the plain and the traced paths (previously
-        two byte-identical copies): stall attribution accumulators are
-        plain integer adds, cheap enough to keep unconditionally, and
-        the per-instruction counter-sample check is disarmed without a
-        tracer by pushing ``next_sample`` beyond any instruction count.
-        A run is a repeat instruction, a loop/call edge or a whole
-        unrolled segment; the fetch check runs before each instance's
-        dispatch, on that instance's PC (``pcs[index]`` for a segment),
-        so it fetches exactly where one run per instance would.
-        Arithmetic is bit-identical to the legacy per-instruction loops
-        over ``assembled.trace()`` — the tier-1 suite pins this with the
+    def _pipeline(self, runs, start, class_counts, tracer=None) -> tuple:
+        """The pipeline model over an iterable of O3 runs.
+
+        The pipeline starts cold at cycle ``start``: an empty ROB, LSQ
+        and scoreboard, idle functional units and no fetched line.  Full
+        detail runs it once over the whole stream from cycle 0; sampled
+        mode runs it once per detail window.  Each run's instance count
+        is added to ``class_counts``.  Returns the end state::
+
+            (last_commit, fetch_line, instructions, rob_stalls,
+             lsq_stalls, squashes, fetch_stall_cycles,
+             dispatch_stall_cycles, operand_wait_cycles, fu_wait_cycles,
+             commit_stall_cycles)
+
+        The stall attribution accumulators are plain integer adds, cheap
+        enough to keep unconditionally, and the per-instruction counter
+        -sample check is disarmed without a ``tracer`` by pushing
+        ``next_sample`` beyond any instruction count.  A run is a repeat
+        instruction, a loop/call edge or a whole unrolled segment; the
+        fetch check runs before each instance's dispatch, on that
+        instance's PC (``pcs[index]`` for a segment), so it fetches
+        exactly where one run per instance would.  Arithmetic is
+        bit-identical to the legacy per-instruction loops over
+        ``assembled.trace()`` — the tier-1 suite pins this with the
         predecode cache forced on and off.
         """
-        tracer = self.tracer
         base = tracer.now if tracer is not None else 0
         cfg = self.config
         mem = self.mem
         bpred = self.bpred
         l1_latency = mem.config.l1_latency
-        names = InstrClass.NAMES
-        by_class = self.stat_by_class
 
         # Architectural scoreboard sized from the ISA's register-index
         # space and the configured rename register files, so DSE points
@@ -232,23 +299,20 @@ class O3Cpu(BaseCpu):
         sq_append = store_queue.append
 
         # Width-limited in-order stages track a (cycle, slots-used) pair.
-        dispatch_cycle = 0
+        dispatch_cycle = start
         dispatch_slots = 0
-        commit_cycle = 0
+        commit_cycle = start
         commit_slots = 0
-        last_commit = 0
+        last_commit = start
 
-        redirect_at = 0       # front-end earliest restart after squash
-        line_ready = 0        # current fetch line available at this cycle
+        redirect_at = start   # front-end earliest restart after squash
+        line_ready = start    # current fetch line available at this cycle
         current_line = -1
 
         instructions = 0
-        loads = stores = branches = 0
         is_branch = InstrClass.BRANCH
 
-        # Per-run stat accumulators, flushed to the Stat objects once at
-        # the end instead of per event.
-        class_counts = [0] * _NUM_CLASSES
+        # Per-run stat accumulators, returned instead of flushed per event.
         rob_stalls = 0
         lsq_stalls = 0
         squashes = 0
@@ -262,9 +326,6 @@ class O3Cpu(BaseCpu):
         commit_stall_cycles = 0
         next_sample = _SAMPLE_PERIOD if tracer is not None else (1 << 62)
 
-        runs = predecode.o3_stream(assembled, seed, line_shift,
-                                   _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
-                                   _SERIALIZING_BY_CLASS)
         for run in runs:
             (count, icls, pc, pc_line, pcs, srcs, dst, lanes, serializing,
              op_latency, busy, memkind, addrs, takens) = run
@@ -356,16 +417,13 @@ class O3Cpu(BaseCpu):
                     latency = data_access(addrs[index], False, issue, pc)
                     complete = issue + latency
                     lq_append(complete)
-                    loads += 1
                 elif memkind == 2:
                     data_access(addrs[index], True, issue, pc)
                     complete = issue + 1
                     sq_append(complete)
-                    stores += 1
                 else:
                     complete = issue + op_latency
                     if branch_run:
-                        branches += 1
                         taken = takens_seq[index] if takens_seq is not None else takens
                         if not predict_and_update(pc, taken):
                             squash_at = complete + mispredict_penalty
@@ -405,28 +463,52 @@ class O3Cpu(BaseCpu):
                                     "squashes": squashes})
             class_counts[icls] += count
 
+        return (last_commit, current_line, instructions, rob_stalls,
+                lsq_stalls, squashes, fetch_stall_cycles,
+                dispatch_stall_cycles, operand_wait_cycles, fu_wait_cycles,
+                commit_stall_cycles)
+
+    def _flush_stats(self, class_counts, cycles, instructions, rob_stalls,
+                     lsq_stalls, squashes) -> RunResult:
+        """Add one run's counters to the stat tree; its RunResult."""
+        names = InstrClass.NAMES
         for icls, count in enumerate(class_counts):
             if count:
-                by_class.inc(names[icls], count)
+                self.stat_by_class.inc(names[icls], count)
         if rob_stalls:
             self.stat_rob_stalls.inc(rob_stalls)
         if lsq_stalls:
             self.stat_lsq_stalls.inc(lsq_stalls)
         if squashes:
             self.stat_mispredict_squashes.inc(squashes)
-
-        total_cycles = last_commit
-        self.stat_cycles.inc(total_cycles)
+        self.stat_cycles.inc(cycles)
         self.stat_insts.inc(instructions)
+        return RunResult(cycles, instructions, class_counts[InstrClass.LOAD],
+                         class_counts[InstrClass.STORE],
+                         class_counts[InstrClass.BRANCH])
+
+    def _run(self, assembled, seed: int = 0) -> RunResult:
+        """Full detail: one pipeline over the whole run stream, from 0."""
+        tracer = self.tracer
+        class_counts = [0] * _NUM_CLASSES
+        (total_cycles, _, instructions, rob_stalls, lsq_stalls, squashes,
+         fetch_stall_cycles, dispatch_stall_cycles, operand_wait_cycles,
+         fu_wait_cycles, commit_stall_cycles) = self._pipeline(
+            self._stream(assembled, seed), 0, class_counts, tracer)
+        result = self._flush_stats(class_counts, total_cycles, instructions,
+                                   rob_stalls, lsq_stalls, squashes)
 
         if tracer is not None:
+            base = tracer.now
             tracer.complete("o3.run", "pipeline", base,
                             total_cycles if total_cycles > 0 else 1,
                             TRACK_PIPELINE,
                             args={"core": self.core_id,
                                   "instructions": instructions,
-                                  "loads": loads, "stores": stores,
-                                  "branches": branches, "squashes": squashes,
+                                  "loads": result.loads,
+                                  "stores": result.stores,
+                                  "branches": result.branches,
+                                  "squashes": squashes,
                                   "robStalls": rob_stalls,
                                   "lsqStalls": lsq_stalls})
             if fetch_stall_cycles:
@@ -448,10 +530,10 @@ class O3Cpu(BaseCpu):
                                 commit_stall_cycles, TRACK_COMMIT)
             tracer.count("o3.instructions", instructions)
             tracer.advance(total_cycles)
-        return RunResult(total_cycles, instructions, loads, stores, branches)
+        return result
 
     def _run_sampled(self, assembled, seed, sampling) -> RunResult:
-        """Sampled execution: detail windows on a fresh mini-pipeline.
+        """Sampled execution: each detail window runs :meth:`_pipeline`.
 
         Follows :mod:`repro.sim.sampling`'s window schedule over the same
         predecoded run stream the full-detail loop consumes — so the
@@ -459,9 +541,10 @@ class O3Cpu(BaseCpu):
         stream is exact; only *timing* is estimated.  Fast-forward
         regions count instructions without touching microarchitectural
         state; warm-up regions functionally warm caches/TLBs and train
-        the branch predictor; each detail window runs the full pipeline
-        arithmetic from a cold pipeline (but warm memory system) and its
-        CPI extrapolates over the surrounding interval.
+        the branch predictor; each detail window hands the runs it
+        covers, cut at its edges, to the full-detail pipeline method,
+        which starts cold (but on a warm memory system), and the
+        windows' CPI extrapolates over the whole stream.
 
         When a single window covers the whole program the result is
         bit-identical to the full-detail loop (the calibration suite's
@@ -470,30 +553,14 @@ class O3Cpu(BaseCpu):
         warm-up regions.  Tracer phase spans are not emitted in sampled
         mode — sampled timing is an estimate, not an event log.
         """
-        cfg = self.config
         mem = self.mem
-        bpred = self.bpred
-        l1_latency = mem.config.l1_latency
-        names = InstrClass.NAMES
-        by_class = self.stat_by_class
-
-        scoreboard_size = max(NUM_ARCH_REGS + 32, cfg.int_regs + cfg.float_regs)
-
         line_shift = mem._line_shift
-        ifetch = mem.ifetch
-        data_access = mem.data_access
         warm_touch = mem.warm_touch
-        predict_and_update = bpred.predict_and_update
-        dispatch_width = cfg.dispatch_width
-        commit_width = cfg.commit_width
-        rob_entries = cfg.rob_entries
-        lq_entries = cfg.lq_entries
-        sq_entries = cfg.sq_entries
-        mispredict_penalty = cfg.mispredict_penalty
+        predict_and_update = self.bpred.predict_and_update
+        pipeline = self._pipeline
         is_branch = InstrClass.BRANCH
 
         instructions = 0
-        loads = stores = branches = 0
         class_counts = [0] * _NUM_CLASSES
         rob_stalls = 0
         lsq_stalls = 0
@@ -502,53 +569,19 @@ class O3Cpu(BaseCpu):
         detailed_cycles = 0
         detailed_insts = 0
         windows = 0
-        in_window = False
-        window_insts = 0
-        window_base = 0
+        last_commit = 0
         warm_line = -1
-
-        # Detail-window pipeline state; rebuilt cold on window entry.
-        reg_ready = None
-        rob = load_queue = store_queue = None
-        rob_popleft = rob_append = None
-        lq_popleft = lq_append = None
-        sq_popleft = sq_append = None
-        fu_by_class = None
-        dispatch_cycle = dispatch_slots = 0
-        commit_cycle = commit_slots = last_commit = 0
-        redirect_at = line_ready = 0
-        current_line = -1
 
         placement = sampling.placement_rng(assembled.program.seed, seed)
         segment_iter = sampling.segments(placement)
         seg_end, seg_mode = next(segment_iter)
 
-        runs = predecode.o3_stream(assembled, seed, line_shift,
-                                   _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
-                                   _SERIALIZING_BY_CLASS)
+        runs = self._stream(assembled, seed)
         for run in runs:
-            (count, icls, pc, pc_line, pcs, srcs, dst, lanes, serializing,
-             op_latency, busy, memkind, addrs, takens) = run
-            branch_run = icls == is_branch
-            lanes_len = len(lanes) if lanes is not None else 0
-            takens_seq = takens if type(takens) is list else None
-            write = memkind == 2
-            class_counts[icls] += count
-            if memkind == 1:
-                loads += count
-            elif memkind == 2:
-                stores += count
-            elif branch_run:
-                branches += count
-
+            count = run[0]
             index = 0
             while index < count:
                 while instructions >= seg_end:
-                    if seg_mode == DETAIL and in_window:
-                        detailed_cycles += last_commit - window_base
-                        detailed_insts += window_insts
-                        windows += 1
-                        in_window = False
                     seg_end, seg_mode = next(segment_iter)
                 take = count - index
                 room = seg_end - instructions
@@ -557,6 +590,7 @@ class O3Cpu(BaseCpu):
 
                 if seg_mode == FAST_FORWARD:
                     # Counted, not simulated: the speed win.
+                    class_counts[run[1]] += take
                     index += take
                     instructions += take
                     continue
@@ -566,7 +600,12 @@ class O3Cpu(BaseCpu):
                     # a line change, then the data touch or the branch
                     # training.  A repeat compute run touches only its
                     # one fetch line.
-                    if pcs is not None or memkind or branch_run:
+                    (_, icls, pc, pc_line, pcs, _, _, _, _, _, _, memkind,
+                     addrs, takens) = run
+                    class_counts[icls] += take
+                    if pcs is not None or memkind or icls == is_branch:
+                        write = memkind == 2
+                        takens_seq = takens if type(takens) is list else None
                         for j in range(index, index + take):
                             if pcs is not None:
                                 pc = pcs[j]
@@ -576,7 +615,7 @@ class O3Cpu(BaseCpu):
                                 warm_line = pc_line
                             if memkind:
                                 warm_touch(addrs[j], False, write, pc)
-                            elif branch_run:
+                            elif icls == is_branch:
                                 predict_and_update(
                                     pc, takens_seq[j] if takens_seq is not None
                                     else takens)
@@ -588,154 +627,37 @@ class O3Cpu(BaseCpu):
                     continue
 
                 # ---- detail window -------------------------------------
-                if not in_window:
-                    # The mini-pipeline starts at the extrapolated global
-                    # cycle, not 0: timing state keyed on absolute cycles
-                    # (the DRAM controller's queue window) must see a
-                    # monotonic clock, or every window's misses look
-                    # clustered with the previous window's.  The first
-                    # window starts at 0, keeping the single-all-covering
-                    # -window case bit-identical to full detail.
-                    if detailed_insts:
-                        base = int(instructions * detailed_cycles
-                                   / detailed_insts)
-                    else:
-                        base = instructions
-                    if base < last_commit:
-                        base = last_commit
-                    window_base = base
-                    reg_ready = [0] * scoreboard_size
-                    rob = deque()
-                    load_queue = deque()
-                    store_queue = deque()
-                    rob_popleft = rob.popleft
-                    rob_append = rob.append
-                    lq_popleft = load_queue.popleft
-                    lq_append = load_queue.append
-                    sq_popleft = store_queue.popleft
-                    sq_append = store_queue.append
-                    fu_by_class = _fu_pools(cfg)
-                    dispatch_cycle = base
-                    dispatch_slots = 0
-                    commit_cycle = base
-                    commit_slots = 0
-                    last_commit = base
-                    redirect_at = base
-                    line_ready = base
-                    current_line = -1
-                    window_insts = 0
-                    in_window = True
-
-                free = fu_by_class[icls]
-                for j in range(index, index + take):
-                    if pcs is not None:
-                        pc = pcs[j]
-                        pc_line = pc >> line_shift
-                    if pc_line != current_line:
-                        fetch_start = dispatch_cycle if dispatch_cycle > redirect_at else redirect_at
-                        latency = ifetch(pc, fetch_start)
-                        miss_extra = latency - l1_latency
-                        line_ready = fetch_start + (miss_extra if miss_extra > 0 else 0)
-                        current_line = pc_line
-                        warm_line = pc_line
-
-                    earliest_dispatch = line_ready if line_ready > redirect_at else redirect_at
-                    if earliest_dispatch > dispatch_cycle:
-                        dispatch_cycle = earliest_dispatch
-                        dispatch_slots = 1
-                    elif dispatch_slots < dispatch_width:
-                        dispatch_slots += 1
-                    else:
-                        dispatch_cycle += 1
-                        dispatch_slots = 1
-
-                    while rob and rob[0] <= dispatch_cycle:
-                        rob_popleft()
-                    if len(rob) >= rob_entries:
-                        stall_until = rob_popleft()
-                        if stall_until > dispatch_cycle:
-                            dispatch_cycle = stall_until
-                            dispatch_slots = 1
-                        rob_stalls += 1
-
-                    if memkind == 1:
-                        while load_queue and load_queue[0] <= dispatch_cycle:
-                            lq_popleft()
-                        if len(load_queue) >= lq_entries:
-                            stall_until = lq_popleft()
-                            if stall_until > dispatch_cycle:
-                                dispatch_cycle = stall_until
-                                dispatch_slots = 1
-                            lsq_stalls += 1
-                    elif memkind == 2:
-                        while store_queue and store_queue[0] <= dispatch_cycle:
-                            sq_popleft()
-                        if len(store_queue) >= sq_entries:
-                            stall_until = sq_popleft()
-                            if stall_until > dispatch_cycle:
-                                dispatch_cycle = stall_until
-                                dispatch_slots = 1
-                            lsq_stalls += 1
-
-                    if serializing and last_commit > dispatch_cycle:
-                        dispatch_cycle = last_commit
-                        dispatch_slots = 1
-
-                    if lanes_len:
-                        srcs, dst = lanes[j % lanes_len]
-                    ready = dispatch_cycle + 1
-                    for src in srcs:
-                        src_ready = reg_ready[src]
-                        if src_ready > ready:
-                            ready = src_ready
-
-                    issue = free[0]
-                    if ready > issue:
-                        issue = ready
-                    heapreplace(free, issue + busy)
-                    if memkind == 1:
-                        latency = data_access(addrs[j], False, issue, pc)
-                        complete = issue + latency
-                        lq_append(complete)
-                    elif memkind == 2:
-                        data_access(addrs[j], True, issue, pc)
-                        complete = issue + 1
-                        sq_append(complete)
-                    else:
-                        complete = issue + op_latency
-                        if branch_run:
-                            taken = takens_seq[j] if takens_seq is not None else takens
-                            if not predict_and_update(pc, taken):
-                                squash_at = complete + mispredict_penalty
-                                if squash_at > redirect_at:
-                                    redirect_at = squash_at
-                                squashes += 1
-
-                    if dst >= 0:
-                        reg_ready[dst] = complete
-
-                    earliest_commit = complete + 1
-                    if last_commit > earliest_commit:
-                        earliest_commit = last_commit
-                    if earliest_commit > commit_cycle:
-                        commit_cycle = earliest_commit
-                        commit_slots = 1
-                    elif commit_slots < commit_width:
-                        commit_slots += 1
-                    else:
-                        commit_cycle += 1
-                        commit_slots = 1
-                    last_commit = commit_cycle
-                    rob_append(commit_cycle)
-
-                window_insts += take
-                index += take
-                instructions += take
-
-        if in_window:
-            detailed_cycles += last_commit - window_base
-            detailed_insts += window_insts
-            windows += 1
+                # The pipeline starts at the extrapolated global cycle,
+                # not 0: timing state keyed on absolute cycles (the DRAM
+                # controller's queue window) must see a monotonic clock,
+                # or every window's misses look clustered with the
+                # previous window's.  The first window starts at 0,
+                # keeping the single-all-covering-window case
+                # bit-identical to full detail.
+                if detailed_insts:
+                    start = int(instructions * detailed_cycles
+                                / detailed_insts)
+                else:
+                    start = instructions
+                if start < last_commit:
+                    start = last_commit
+                rest = []
+                (last_commit, warm_line, window_insts, window_rob,
+                 window_lsq, window_squashes) = pipeline(
+                    _window(run, index, runs, room, rest), start,
+                    class_counts)[:6]
+                rob_stalls += window_rob
+                lsq_stalls += window_lsq
+                squashes += window_squashes
+                detailed_cycles += last_commit - start
+                detailed_insts += window_insts
+                windows += 1
+                instructions += window_insts
+                if not rest:
+                    break
+                # The window ended inside a run: go on from its edge.
+                run, index = rest.pop()
+                count = run[0]
 
         # SimPoint-style extrapolation: detailed CPI over the whole
         # stream.  A single all-covering window reproduces full detail
@@ -748,16 +670,5 @@ class O3Cpu(BaseCpu):
         else:
             total_cycles = int(round(
                 (detailed_cycles / detailed_insts) * instructions))
-
-        for icls, count in enumerate(class_counts):
-            if count:
-                by_class.inc(names[icls], count)
-        if rob_stalls:
-            self.stat_rob_stalls.inc(rob_stalls)
-        if lsq_stalls:
-            self.stat_lsq_stalls.inc(lsq_stalls)
-        if squashes:
-            self.stat_mispredict_squashes.inc(squashes)
-        self.stat_cycles.inc(total_cycles)
-        self.stat_insts.inc(instructions)
-        return RunResult(total_cycles, instructions, loads, stores, branches)
+        return self._flush_stats(class_counts, total_cycles, instructions,
+                                 rob_stalls, lsq_stalls, squashes)
