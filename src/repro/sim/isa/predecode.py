@@ -102,27 +102,20 @@ def _cache_for(assembled, key) -> dict:
     return per
 
 
-def _stride_addrs(instr, count: int) -> Optional[Tuple[int, ...]]:
+def _stride_addrs(region, pattern, count: int) -> Optional[Tuple[int, ...]]:
     """Precomputed absolute addresses for rng-free stride patterns.
 
-    Returns ``None`` when the pattern draws from the trace rng (random /
-    hot-cold / unknown subclasses), in which case addresses must be
-    materialised at replay time to keep the draw order intact.
+    A stride pattern's offsets draw no rng, so they can be taken at
+    decode time.  Returns ``None`` when the pattern draws from the trace
+    rng (random / hot-cold / unknown subclasses), in which case
+    addresses must be materialised at replay time to keep the draw
+    order intact.
     """
-    pattern = instr.pattern
     if type(pattern) is not ir.StridePattern:
         return None
-    region = instr.region
-    size = region.size
     base = region.base
-    stride = pattern.stride
-    offset = pattern.start % size
-    addrs: List[int] = []
-    append = addrs.append
-    for _ in range(count):
-        append(base + offset)
-        offset = (offset + stride) % size
-    return tuple(addrs)
+    return tuple(base + offset
+                 for offset in pattern.offsets(region, count, None))
 
 
 def program_length(assembled) -> int:
@@ -286,7 +279,7 @@ def _decode_atomic_block(block, line_shift: int):
                     append((1, pending))
                     pending = 0
                 write = icls == _STORE
-                addrs = _stride_addrs(instr, n)
+                addrs = _stride_addrs(instr.region, instr.pattern, n)
                 if addrs is not None:
                     append((4, write, pc, addrs))
                 else:
@@ -467,15 +460,12 @@ def _decode_warm_run(run, line_shift, append, prev_line):
     sizes = run.sizes
     if icls == _LOAD or icls == _STORE:
         write = icls == _STORE
+        region = run.region
         pattern = run.pattern
-        if type(pattern) is ir.StridePattern:
-            region = run.region
-            rbase = region.base
-            rsize = region.size
-            stride = pattern.stride
-            start = pattern.start
+        addrs = _stride_addrs(region, pattern, len(sizes))
+        if addrs is not None:
             pairs: List[tuple] = []
-            for index, size in enumerate(sizes):
+            for size, addr in zip(sizes, addrs):
                 line = pc >> line_shift
                 if line != prev_line:
                     if pairs:
@@ -483,12 +473,11 @@ def _decode_warm_run(run, line_shift, append, prev_line):
                         pairs = []
                     append((0, pc, line))
                     prev_line = line
-                pairs.append((pc, rbase + (start + index * stride) % rsize))
+                pairs.append((pc, addr))
                 pc += size
             if pairs:
                 append((5, write, tuple(pairs)))
         else:
-            region = run.region
             for size in sizes:
                 line = pc >> line_shift
                 if line != prev_line:
@@ -540,7 +529,7 @@ def _decode_warm_block(block, line_shift: int):
             count += n
             if instr.is_mem:
                 write = icls == _STORE
-                addrs = _stride_addrs(instr, n)
+                addrs = _stride_addrs(instr.region, instr.pattern, n)
                 if addrs is not None:
                     append((1, write, pc, addrs))
                 else:
@@ -737,16 +726,10 @@ def _decode_o3_run(run, line_shift, lat_t, busy_t, ser_t):
             ser_t[icls], lat_t[icls], busy_t[icls])
     if icls == _LOAD or icls == _STORE:
         head += (1 if icls == _LOAD else 2,)
-        region = run.region
-        pattern = run.pattern
-        if type(pattern) is not ir.StridePattern:
-            return (1, (head, region, pattern))
-        rbase = region.base
-        rsize = region.size
-        stride = pattern.stride
-        start = pattern.start
-        return (0, head + (tuple(rbase + (start + index * stride) % rsize
-                                 for index in range(count)), None))
+        addrs = _stride_addrs(run.region, run.pattern, count)
+        if addrs is None:
+            return (1, (head, run.region, run.pattern))
+        return (0, head + (addrs, None))
     head += (0,)
     if icls != _BRANCH:
         return (0, head + (None, None))
@@ -771,7 +754,7 @@ def _decode_o3_block(block, line_shift, lat_t, busy_t, ser_t):
                     lat_t[icls], busy_t[icls])
             if instr.is_mem:
                 head += (1 if icls == _LOAD else 2,)
-                addrs = _stride_addrs(instr, count)
+                addrs = _stride_addrs(instr.region, instr.pattern, count)
                 if addrs is None:
                     append((1, (head, instr.region, instr.pattern)))
                 else:

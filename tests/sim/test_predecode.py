@@ -495,3 +495,25 @@ def test_split_lines_matches_naive_grouping(sizes, pc, line_shift):
         start += size
     pcs, ns = predecode._split_lines(pc, bytes(sizes), line_shift)
     assert [list(entry) for entry in zip(pcs, ns)] == naive
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stride=st.integers(min_value=-300, max_value=300).filter(bool),
+    start=st.integers(min_value=-5000, max_value=5000),
+    size=st.integers(min_value=1, max_value=4096),
+    count=st.integers(min_value=0, max_value=200),
+)
+def test_stride_addrs_wrap_like_a_cursor(stride, start, size, count):
+    """Decode-time stride addresses equal a cursor that steps by the
+    stride and wraps at the region end, one access at a time."""
+    region = ir.Region("buf", 0x10000, size)
+    expected = []
+    offset = start % size
+    for _ in range(count):
+        expected.append(region.base + offset)
+        offset = (offset + stride) % size
+    addrs = predecode._stride_addrs(
+        region, ir.StridePattern(stride=stride, start=start), count)
+    assert addrs == tuple(expected)
+    assert predecode._stride_addrs(region, ir.RandomPattern(), count) is None
