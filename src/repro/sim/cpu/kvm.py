@@ -17,6 +17,7 @@ import random
 from typing import Optional
 
 from repro.sim.cpu.base import BaseCpu, RunResult
+from repro.sim.isa import predecode
 from repro.sim.mem.hierarchy import CoreMemSystem
 from repro.sim.statistics import StatGroup
 
@@ -55,11 +56,13 @@ class KvmCpu(BaseCpu):
     def run_program(self, assembled, seed: int = 0) -> RunResult:
         """Execute functionally; KVM provides no timing, only progress.
 
-        The caches are *not* warmed — virtualized execution bypasses the
-        simulated memory system entirely, one of the reasons checkpoints
-        taken from KVM boots behave inconsistently.
+        Progress is the instruction count, which depends on the program's
+        structure and not on the seed, so it is counted without walking
+        the trace.  The caches are *not* warmed — virtualized execution
+        bypasses the simulated memory system entirely, one of the
+        reasons checkpoints taken from KVM boots behave inconsistently.
         """
-        instructions = sum(1 for _ in assembled.trace(seed))
+        instructions = predecode.program_length(assembled)
         self.stat_insts.inc(instructions)
         # Report wall-clock-like "cycles": one per instruction, untrusted.
         return RunResult(instructions, instructions, exit_cause="kvm functional run")

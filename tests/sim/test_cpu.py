@@ -209,6 +209,35 @@ class TestKvm:
         result = system.run(1, build_program(), model="kvm")
         assert result.instructions > 0
 
+    @pytest.mark.parametrize("isa", ["riscv", "x86", "arm"])
+    def test_kvm_counts_atomic_instructions(self, isa):
+        """KVM's count, taken from the program's structure, equals the
+        Atomic replay's on every predecode program shape, at the deepest
+        call chain allowed, and fails the same way one call deeper."""
+        from tests.sim.test_predecode import (
+            build_program as predecode_program,
+            call_chain,
+            edge_runs,
+            straightline,
+            unrolled_shapes,
+        )
+        from repro.sim.isa.trace import _MAX_CALL_DEPTH
+
+        programs = [predecode_program(seed=3),
+                    predecode_program(seed=5, random_pattern=True),
+                    unrolled_shapes(seed=11), straightline(seed=13),
+                    edge_runs(seed=5), call_chain(_MAX_CALL_DEPTH)]
+        for program in programs:
+            atomic = SimulatedSystem("a", isa).run(1, program, model="atomic",
+                                                   seed=4)
+            kvm = SimulatedSystem("k", isa).run(1, program, model="kvm",
+                                                seed=4)
+            assert kvm.instructions == atomic.instructions
+        too_deep = call_chain(_MAX_CALL_DEPTH + 1)
+        for model in ("atomic", "kvm"):
+            with pytest.raises(RecursionError, match="call depth exceeded"):
+                SimulatedSystem("d", isa).run(1, too_deep, model=model)
+
     def test_kvm_m5_ops_eventually_freeze(self):
         system = SimulatedSystem("s", "riscv", seed=0)
         kvm = system.cpu(1, "kvm")
