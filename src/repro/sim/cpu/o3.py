@@ -168,31 +168,6 @@ def _cut(run, start, stop):
             serializing, latency, busy, memkind, addrs, takens)
 
 
-def _window(run, index, runs, room, rest):
-    """The runs of one detail window, cut at the window's edges.
-
-    The window starts at instance ``index`` of ``run`` and draws further
-    runs from the iterator ``runs`` until ``room`` instances are out or
-    the stream ends.  A run that reaches past the window is cut there,
-    and ``(run, end)`` is left in ``rest`` for the caller to resume at.
-    """
-    while True:
-        count = run[0]
-        end = index + room
-        if end < count:
-            rest.append((run, end))
-            yield _cut(run, index, end)
-            return
-        yield _cut(run, index, count)
-        room = end - count
-        if not room:
-            return
-        run = next(runs, None)
-        if run is None:
-            return
-        index = 0
-
-
 class O3Cpu(BaseCpu):
     """Detailed out-of-order core model."""
 
@@ -641,11 +616,27 @@ class O3Cpu(BaseCpu):
                     start = instructions
                 if start < last_commit:
                     start = last_commit
-                rest = []
+                # The runs the window covers, cut at its edges.  The
+                # loop goes on from where the window ends: inside ``run``
+                # when ``index < count``.
+                window = [_cut(run, index, index + take)]
+                index += take
+                left = room - take
+                while left:
+                    run = next(runs, None)
+                    if run is None:
+                        break
+                    count = run[0]
+                    if count > left:
+                        window.append(_cut(run, 0, left))
+                        index = left
+                        break
+                    window.append(run)
+                    index = count
+                    left -= count
                 (last_commit, warm_line, window_insts, window_rob,
                  window_lsq, window_squashes) = pipeline(
-                    _window(run, index, runs, room, rest), start,
-                    class_counts)[:6]
+                    window, start, class_counts)[:6]
                 rob_stalls += window_rob
                 lsq_stalls += window_lsq
                 squashes += window_squashes
@@ -653,11 +644,8 @@ class O3Cpu(BaseCpu):
                 detailed_insts += window_insts
                 windows += 1
                 instructions += window_insts
-                if not rest:
+                if run is None:
                     break
-                # The window ended inside a run: go on from its edge.
-                run, index = rest.pop()
-                count = run[0]
 
         # SimPoint-style extrapolation: detailed CPI over the whole
         # stream.  A single all-covering window reproduces full detail
