@@ -149,7 +149,7 @@ class TestFunctionalUnits:
         reference = {name: ArgminPool(count) for name, count in sizes.items()}
         for icls, ready, busy in stream:
             free = pools[icls]
-            # The issue step of O3Cpu._run and _run_sampled.
+            # The issue step of O3Cpu._pipeline.
             issue = free[0]
             if ready > issue:
                 issue = ready
