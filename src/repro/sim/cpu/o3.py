@@ -223,10 +223,11 @@ class O3Cpu(BaseCpu):
              dispatch_stall_cycles, operand_wait_cycles, fu_wait_cycles,
              commit_stall_cycles)
 
-        The stall attribution accumulators are plain integer adds, cheap
-        enough to keep unconditionally, and the per-instruction counter
-        -sample check is disarmed without a ``tracer`` by pushing
-        ``next_sample`` beyond any instruction count.  A run is a repeat
+        The stall attribution accumulators are plain integer adds kept
+        unconditionally, so one loop serves traced and untraced runs,
+        and the per-instruction counter-sample check is disarmed without
+        a ``tracer`` by pushing ``next_sample`` beyond any instruction
+        count.  A run is a repeat
         instruction, a loop/call edge or a whole unrolled segment; the
         fetch check runs before each instance's dispatch, on that
         instance's PC (``pcs[index]`` for a segment), so it fetches
@@ -532,7 +533,6 @@ class O3Cpu(BaseCpu):
         line_shift = mem._line_shift
         warm_touch = mem.warm_touch
         predict_and_update = self.bpred.predict_and_update
-        pipeline = self._pipeline
         is_branch = InstrClass.BRANCH
 
         instructions = 0
@@ -635,7 +635,7 @@ class O3Cpu(BaseCpu):
                     index = count
                     left -= count
                 (last_commit, warm_line, window_insts, window_rob,
-                 window_lsq, window_squashes) = pipeline(
+                 window_lsq, window_squashes) = self._pipeline(
                     window, start, class_counts)[:6]
                 rob_stalls += window_rob
                 lsq_stalls += window_lsq
