@@ -4,6 +4,7 @@ These run real traced measurements through the harness, so they use the
 small test scale and the shared boot-checkpoint hygiene fixture.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,17 @@ from repro.core.spec import MeasurementSpec
 from repro.obs import dumps_chrome_trace, profile_table
 
 SCALE = SimScale(time=4096, space=32)
+
+#: (function, isa) -> SHA-256 prefix of ``trace --report`` stdout (the
+#: program report and the validation lines) at SCALE.
+REPORT_DIGESTS = {
+    ("fibonacci-python", "riscv"): "d4a7a6998471d5dd",
+    ("fibonacci-python", "x86"): "1b450f9b48bd098b",
+    ("fibonacci-python", "arm"): "e03f44175646597e",
+    ("hotel-geo-go", "riscv"): "ad5b8254d159dc79",
+    ("hotel-geo-go", "x86"): "e8084315c1446941",
+    ("hotel-geo-go", "arm"): "6121ea55bd8965aa",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +121,16 @@ class TestTraceCli:
                      "--time-scale", str(SCALE.time),
                      "--space-scale", str(SCALE.space)]) == 0
         assert "validation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("isa", ("riscv", "x86", "arm"))
+    @pytest.mark.parametrize("function", ("fibonacci-python", "hotel-geo-go"))
+    def test_trace_report_output_pinned(self, capsys, function, isa):
+        assert main(["trace", function, "--report", "--isa", isa,
+                     "--time-scale", str(SCALE.time),
+                     "--space-scale", str(SCALE.space)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == \
+            REPORT_DIGESTS[function, isa]
 
     def test_unknown_function_fails_cleanly(self):
         with pytest.raises(SystemExit):

@@ -12,8 +12,6 @@ unrolled segment, and one derived per program whose last detail window
 ends exactly where the program does.
 """
 
-import hashlib
-
 import pytest
 
 from repro.sim.isa import predecode
@@ -22,6 +20,7 @@ from repro.sim.system import SimulatedSystem
 from tests.sim.test_predecode import (
     build_program,
     edge_runs,
+    stat_digest,
     straightline,
     unrolled_shapes,
 )
@@ -53,11 +52,6 @@ def ends_on_window(length):
     detail window closes on the program's last instruction."""
     detail = length // 3
     return SamplingConfig(length - detail, detail, 0, False, 0)
-
-
-def stat_digest(dump):
-    text = "\n".join("%s=%r" % item for item in sorted(dump.items()))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def sampled_run(program_name, isa, geometry):
