@@ -84,42 +84,7 @@ class O3Config:
         self.branch_predictor = branch_predictor
 
 
-#: Execution latency (cycles) per instruction class; loads are dynamic.
-_OP_LATENCY = {
-    InstrClass.IALU: 1,
-    InstrClass.IMUL: 3,
-    InstrClass.IDIV: 20,
-    InstrClass.FALU: 3,
-    InstrClass.FMUL: 4,
-    InstrClass.FDIV: 12,
-    InstrClass.STORE: 1,
-    InstrClass.BRANCH: 1,
-    InstrClass.CALL: 1,
-    InstrClass.RET: 1,
-    InstrClass.SYSCALL: 30,
-    InstrClass.CSR: 10,
-    InstrClass.NOP: 1,
-}
-
-#: Unpipelined units hold their FU for the whole latency.
-_UNPIPELINED = frozenset({InstrClass.IDIV, InstrClass.FDIV})
-
-#: Serializing instructions drain the ROB before dispatch.
-_SERIALIZING = frozenset({InstrClass.SYSCALL, InstrClass.CSR})
-
-#: The dict/set views above, flattened into tuples indexed by instruction
-#: class so the per-instruction loop pays a list index instead of a hash.
 _NUM_CLASSES = len(InstrClass.NAMES)
-_LATENCY_BY_CLASS = tuple(
-    _OP_LATENCY.get(icls, 1) for icls in range(_NUM_CLASSES)
-)
-_BUSY_BY_CLASS = tuple(
-    (_OP_LATENCY.get(icls, 1) if icls in _UNPIPELINED else 1)
-    for icls in range(_NUM_CLASSES)
-)
-_SERIALIZING_BY_CLASS = tuple(
-    icls in _SERIALIZING for icls in range(_NUM_CLASSES)
-)
 
 
 def _fu_pools(cfg: O3Config) -> tuple:
@@ -205,9 +170,7 @@ class O3Cpu(BaseCpu):
         return self._run(assembled, seed)
 
     def _stream(self, assembled, seed):
-        return predecode.o3_stream(assembled, seed, self.mem._line_shift,
-                                   _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
-                                   _SERIALIZING_BY_CLASS)
+        return predecode.o3_stream(assembled, seed, self.mem._line_shift)
 
     def _pipeline(self, runs, start, class_counts, tracer=None) -> tuple:
         """The pipeline model over an iterable of O3 runs.

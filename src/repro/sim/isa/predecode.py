@@ -672,6 +672,45 @@ def warm_run(assembled, seed: int, mem, bpred=None) -> int:
 # plus an rng-dependent memory / branch template, resolved per execution
 # — resolution draws from the trace rng in exactly the legacy order,
 # since a run's draws are contiguous in the legacy stream too.
+#
+# The O3 timing tables are decoded into every run, so they live here,
+# next to the decoder: each cached run is complete by construction.
+
+#: Execution latency (cycles) per instruction class; loads are dynamic.
+_OP_LATENCY = {
+    InstrClass.IALU: 1,
+    InstrClass.IMUL: 3,
+    InstrClass.IDIV: 20,
+    InstrClass.FALU: 3,
+    InstrClass.FMUL: 4,
+    InstrClass.FDIV: 12,
+    InstrClass.STORE: 1,
+    InstrClass.BRANCH: 1,
+    InstrClass.CALL: 1,
+    InstrClass.RET: 1,
+    InstrClass.SYSCALL: 30,
+    InstrClass.CSR: 10,
+    InstrClass.NOP: 1,
+}
+
+#: Unpipelined units hold their FU for the whole latency.
+_UNPIPELINED = frozenset({InstrClass.IDIV, InstrClass.FDIV})
+
+#: Serializing instructions drain the ROB before dispatch.
+_SERIALIZING = frozenset({InstrClass.SYSCALL, InstrClass.CSR})
+
+#: The dict/set views above, flattened into tuples indexed by
+#: instruction class.
+_LATENCY_BY_CLASS = tuple(
+    _OP_LATENCY.get(icls, 1) for icls in range(_NUM_CLASSES)
+)
+_BUSY_BY_CLASS = tuple(
+    (_OP_LATENCY.get(icls, 1) if icls in _UNPIPELINED else 1)
+    for icls in range(_NUM_CLASSES)
+)
+_SERIALIZING_BY_CLASS = tuple(
+    icls in _SERIALIZING for icls in range(_NUM_CLASSES)
+)
 
 
 def _make_lanes(instr) -> Optional[tuple]:
@@ -688,14 +727,14 @@ def _make_lanes(instr) -> Optional[tuple]:
     return tuple(lanes)
 
 
-def _edge_run(instr, taken, line_shift, lat_t, busy_t, ser_t):
+def _edge_run(instr, taken, line_shift):
     icls = instr.icls
     return (1, icls, instr.pc, instr.pc >> line_shift, None, instr.srcs,
-            instr.dst, None, ser_t[icls], lat_t[icls], busy_t[icls],
-            0, None, taken)
+            instr.dst, None, _SERIALIZING_BY_CLASS[icls],
+            _LATENCY_BY_CLASS[icls], _BUSY_BY_CLASS[icls], 0, None, taken)
 
 
-def _decode_o3_run(run, line_shift, lat_t, busy_t, ser_t):
+def _decode_o3_run(run, line_shift):
     """Decode one :class:`UnrolledRun` to a single O3 entry.
 
     Instance ``i`` sits at ``pcs[i]`` and uses ``lanes[i % ilp]``, the
@@ -723,7 +762,8 @@ def _decode_o3_run(run, line_shift, lat_t, busy_t, ser_t):
                       for lane in rotation)
     srcs, dst = lanes[0]
     head = (count, icls, pc, pc >> line_shift, pcs, srcs, dst, lanes,
-            ser_t[icls], lat_t[icls], busy_t[icls])
+            _SERIALIZING_BY_CLASS[icls], _LATENCY_BY_CLASS[icls],
+            _BUSY_BY_CLASS[icls])
     if icls == _LOAD or icls == _STORE:
         head += (1 if icls == _LOAD else 2,)
         addrs = _stride_addrs(run.region, run.pattern, count)
@@ -738,20 +778,21 @@ def _decode_o3_run(run, line_shift, lat_t, busy_t, ser_t):
     return (0, head + (None, True))
 
 
-def _decode_o3_block(block, line_shift, lat_t, busy_t, ser_t):
+def _decode_o3_block(block, line_shift):
     entries: List[tuple] = []
     append = entries.append
     for segment in block.segments:
         if type(segment) is UnrolledRun:
-            append(_decode_o3_run(segment, line_shift, lat_t, busy_t, ser_t))
+            append(_decode_o3_run(segment, line_shift))
             continue
         for instr in segment:
             icls = instr.icls
             pc = instr.pc
             count = instr.repeat
             head = (count, icls, pc, pc >> line_shift, None, instr.srcs,
-                    instr.dst, _make_lanes(instr), ser_t[icls],
-                    lat_t[icls], busy_t[icls])
+                    instr.dst, _make_lanes(instr),
+                    _SERIALIZING_BY_CLASS[icls], _LATENCY_BY_CLASS[icls],
+                    _BUSY_BY_CLASS[icls])
             if instr.is_mem:
                 head += (1 if icls == _LOAD else 2,)
                 addrs = _stride_addrs(instr.region, instr.pattern, count)
@@ -767,7 +808,7 @@ def _decode_o3_block(block, line_shift, lat_t, busy_t, ser_t):
     return entries
 
 
-def _o3_decoded_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
+def _o3_decoded_runs(assembled, seed, line_shift):
     rng = random.Random("%d|%d|trace" % (assembled.program.seed, seed))
     rng_random = rng.random
     blocks = _cache_for(assembled, ("o3", line_shift))
@@ -782,7 +823,7 @@ def _o3_decoded_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
                 if decoded is None:
                     stats["decoded_blocks"] += 1
                     decoded = blocks[id(node)] = _decode_o3_block(
-                        node, line_shift, lat_t, busy_t, ser_t)
+                        node, line_shift)
                 for tag, payload in decoded:
                     if tag == 0:
                         yield payload
@@ -801,10 +842,8 @@ def _o3_decoded_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
                 if pair is None:
                     backedge = node.backedge
                     pair = blocks[id(node)] = (
-                        _edge_run(backedge, True, line_shift,
-                                  lat_t, busy_t, ser_t),
-                        _edge_run(backedge, False, line_shift,
-                                  lat_t, busy_t, ser_t),
+                        _edge_run(backedge, True, line_shift),
+                        _edge_run(backedge, False, line_shift),
                     )
                 taken_run, fall_run = pair
                 body_nodes = node.body
@@ -817,10 +856,8 @@ def _o3_decoded_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
                 pair = blocks.get(id(node))
                 if pair is None:
                     pair = blocks[id(node)] = (
-                        _edge_run(node.call_instr, None, line_shift,
-                                  lat_t, busy_t, ser_t),
-                        _edge_run(node.ret_instr, None, line_shift,
-                                  lat_t, busy_t, ser_t),
+                        _edge_run(node.call_instr, None, line_shift),
+                        _edge_run(node.ret_instr, None, line_shift),
                     )
                 yield pair[0]
                 if depth >= _MAX_CALL_DEPTH:
@@ -836,7 +873,7 @@ def _o3_decoded_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
     return run_body(routines[assembled.entry].body, 0)
 
 
-def _o3_legacy_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
+def _o3_legacy_runs(assembled, seed, line_shift):
     """Adapter: the legacy trace stream in run form (count=1 per instance).
 
     Resolves register rotation exactly as the legacy O3 loops did —
@@ -864,11 +901,11 @@ def _o3_legacy_runs(assembled, seed, line_shift, lat_t, busy_t, ser_t):
             dst = static.dst
         memkind = 1 if icls == _LOAD else (2 if icls == is_store else 0)
         yield (1, icls, static.pc, static.pc >> line_shift, None, srcs,
-               dst, None, ser_t[icls], lat_t[icls], busy_t[icls], memkind,
-               (addr,), taken)
+               dst, None, _SERIALIZING_BY_CLASS[icls], _LATENCY_BY_CLASS[icls],
+               _BUSY_BY_CLASS[icls], memkind, (addr,), taken)
 
 
-def o3_stream(assembled, seed, line_shift, lat_t, busy_t, ser_t) -> Iterator[tuple]:
+def o3_stream(assembled, seed, line_shift) -> Iterator[tuple]:
     """The O3 model's instruction-run stream (decoded, or legacy).
 
     Both the merged pipeline loop and the sampled fast-forward/warmup
@@ -876,7 +913,5 @@ def o3_stream(assembled, seed, line_shift, lat_t, busy_t, ser_t) -> Iterator[tup
     every O3 execution mode.
     """
     if _ENABLED:
-        return _o3_decoded_runs(assembled, seed, line_shift,
-                                lat_t, busy_t, ser_t)
-    return _o3_legacy_runs(assembled, seed, line_shift,
-                           lat_t, busy_t, ser_t)
+        return _o3_decoded_runs(assembled, seed, line_shift)
+    return _o3_legacy_runs(assembled, seed, line_shift)

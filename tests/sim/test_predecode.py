@@ -14,11 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cpu.o3 import (
-    _BUSY_BY_CLASS,
-    _LATENCY_BY_CLASS,
-    _SERIALIZING_BY_CLASS,
-)
 from repro.sim.isa import ir, predecode
 from repro.sim.isa.base import AssembledBlock, UnrolledRun
 from repro.sim.isa.trace import _MAX_CALL_DEPTH
@@ -595,9 +590,7 @@ class TestO3Runs:
 
     @staticmethod
     def stream(assembled, seed=0):
-        return list(predecode.o3_stream(
-            assembled, seed, 6, _LATENCY_BY_CLASS, _BUSY_BY_CLASS,
-            _SERIALIZING_BY_CLASS))
+        return list(predecode.o3_stream(assembled, seed, 6))
 
     @pytest.mark.parametrize("isa", ISAS)
     def test_unrolled_segment_is_one_run(self, isa):
