@@ -1,17 +1,17 @@
-"""Simulator-performance micro-benches: the hot paths the predecode +
-sampling work targets, timed in isolation so a regression in any one
-layer shows up here before it shows up in ``bench-smoke``.
+"""Simulator-performance micro-benches: the memory hit path and
+sampled simulation, timed in isolation so a regression in either shows
+up here before it shows up in ``bench-smoke``.
 
 Bounds are deliberately loose relative ratios (hit path vs DRAM path,
-predecode vs legacy replay, sampled vs full detail) so they hold on
-slow shared CI hosts; the absolute timings are printed for the record.
+sampled vs full detail) so they hold on slow shared CI hosts; the
+absolute timings are printed for the record.
 """
 
 import time
 
 from conftest import run_once
 
-from repro.sim.isa import ir, predecode
+from repro.sim.isa import ir
 from repro.sim.mem.dram import DramModel
 from repro.sim.mem.hierarchy import CoreMemSystem, MemoryHierarchyConfig
 from repro.sim.statistics import StatGroup
@@ -65,39 +65,6 @@ def test_microbench_cache_hit_path(benchmark):
     print("\n[simperf] L1 hit %8.1f ns/access, DRAM-path %8.1f ns/access"
           % (hit_wall / rounds * 1e9, miss_wall / rounds * 1e9))
     assert hit_wall < miss_wall  # the hit path must stay the cheap one
-
-
-def test_microbench_predecode_replay(benchmark):
-    """Predecoded atomic replay vs the legacy trace path on one program
-    (decode cost amortises over repeated replays, as in the protocol)."""
-    program = _long_program()
-
-    def timed():
-        replays = 6
-        system = SimulatedSystem("pd", "riscv")
-        system.run(1, program, model="atomic")  # decode + cold caches
-        start = time.perf_counter()
-        for _ in range(replays):
-            system.run(1, program, model="atomic")
-        cached_wall = time.perf_counter() - start
-
-        previous = predecode.set_enabled(False)
-        try:
-            legacy_system = SimulatedSystem("lg", "riscv")
-            legacy_system.run(1, program, model="atomic")
-            start = time.perf_counter()
-            for _ in range(replays):
-                legacy_system.run(1, program, model="atomic")
-            legacy_wall = time.perf_counter() - start
-        finally:
-            predecode.set_enabled(previous)
-        return cached_wall, legacy_wall
-
-    cached_wall, legacy_wall = run_once(benchmark, timed)
-    print("\n[simperf] atomic replay: predecode %.1f ms, legacy %.1f ms "
-          "(%.1fx)" % (cached_wall * 1e3, legacy_wall * 1e3,
-                       legacy_wall / cached_wall))
-    assert cached_wall < legacy_wall
 
 
 def test_microbench_sampled_o3(benchmark):

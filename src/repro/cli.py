@@ -319,7 +319,7 @@ def cmd_trace(args) -> int:
 
 
 def _trace_report(args) -> int:
-    """Legacy trace mode: instruction-mix report + program validation."""
+    """Report mode: instruction-mix report + program validation."""
     from repro.serverless.engine import install_docker
     from repro.serverless.faas import FaasPlatform
     from repro.sim.isa import get_isa
@@ -639,8 +639,7 @@ def cmd_bench_smoke(args) -> int:
 
     report = run_smoke(jobs=args.jobs,
                        cache=None if args.use_cache else False,
-                       sampling=getattr(args, "sampling", None),
-                       legacy=args.with_legacy)
+                       sampling=getattr(args, "sampling", None))
     print(render_smoke(report, as_json=args.json))
     if not args.append:
         return 0
@@ -791,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the capture as Chrome trace_event JSON "
                             "(load in https://ui.perfetto.dev)")
     trace.add_argument("--report", action="store_true",
-                       help="legacy mode: static instruction-mix report + "
-                            "program validation instead of a traced run")
+                       help="static instruction-mix report + program "
+                            "validation instead of a traced run")
     _add_scale_arguments(trace)
     _add_vector_argument(trace)
     trace.set_defaults(func=cmd_trace)
@@ -955,9 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --append: fail (exit 1) when wall-clock "
                             "regresses more than this fraction vs the "
                             "previous entry (e.g. 0.25)")
-    smoke.add_argument("--with-legacy", action="store_true",
-                       help="also time the batch with the predecode cache "
-                            "disabled (same-machine baseline + speedups)")
     smoke.add_argument("--sampling", default="accurate", metavar="SPEC",
                        help="config for the sampled phase (default: "
                             "accurate; 'off' skips the phase)")

@@ -13,17 +13,13 @@ previous entry.  A v1 single-snapshot file migrates transparently: it
 becomes the trajectory's first entry (with no SHA — it predates the
 trajectory).
 
-Beyond the full-detail batch, a smoke run can time two extra phases:
-
-* ``sampled`` — the same batch under a sampling config (default the
-  calibrated ``accurate`` preset).  It runs in the same process after
-  the full-detail phase and one untimed sampled warmup pass, so
-  assembled-program, dataset and decode caches are warm; the figure
-  isolates the simulation hot loop the way FireSim's fast mode isolates
-  target time, and is honest about that framing.
-* ``legacy`` — the same batch with the predecode cache disabled
-  (``predecode.set_enabled(False)``), giving a same-machine baseline so
-  speedups are comparable across differently-provisioned CI hosts.
+Beyond the full-detail batch, a smoke run can time a ``sampled`` phase:
+the same batch under a sampling config (default the calibrated
+``accurate`` preset).  It runs in the same process after the
+full-detail phase and one untimed sampled warmup pass, so
+assembled-program, dataset and decode caches are warm; the figure
+isolates the simulation hot loop the way FireSim's fast mode isolates
+target time, and is honest about that framing.
 
 Every run also times a pinned clustered serve (``cluster_serve``): a
 burst arrival trace through :class:`~repro.serverless.platform.
@@ -141,18 +137,14 @@ def _run_ml_infer() -> Dict[str, Any]:
 
 
 def run_smoke(jobs: Optional[int] = None, cache=False,
-              sampling: Optional[str] = "accurate",
-              legacy: bool = False) -> Dict[str, Any]:
+              sampling: Optional[str] = "accurate") -> Dict[str, Any]:
     """Run the pinned smoke batch; returns the JSON-ready report.
 
     ``sampling`` names the config for the sampled phase (a spec string;
-    ``"off"``/``None`` skips the phase).  ``legacy=True`` additionally
-    times the batch with the predecode cache disabled, recording a
-    same-machine baseline and the derived speedups.
+    ``"off"``/``None`` skips the phase).
     """
     from repro.core.parallel import resolve_jobs
     from repro.core.scale import TEST
-    from repro.sim.isa import predecode
     from repro.sim.sampling import SamplingConfig
 
     resolved_jobs = resolve_jobs(jobs)
@@ -192,40 +184,7 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
                     "dataset and decode caches are warm, so this "
                     "isolates the simulation hot loop",
         }
-
-    if legacy:
-        _clear_process_caches()
-        previous = predecode.set_enabled(False)
-        try:
-            legacy_batches, _, legacy_wall = _run_batches(jobs, cache)
-        finally:
-            predecode.set_enabled(previous)
-            _clear_process_caches()
-        report["legacy"] = {
-            "batches": legacy_batches,
-            "wall_s": round(legacy_wall, 3),
-            "note": "predecode cache disabled: same-machine baseline",
-        }
-        if wall_total:
-            report["speedup_vs_legacy"] = round(legacy_wall / wall_total, 2)
-        if config is not None and report["sampled"]["wall_s"]:
-            report["sampled_speedup_vs_legacy"] = round(
-                legacy_wall / report["sampled"]["wall_s"], 2)
     return report
-
-
-def _clear_process_caches() -> None:
-    """Drop process-wide warm state (boot checkpoints, shared assembled
-    programs, dataset blobs) so the next phase pays cold costs — the
-    legacy baseline must be comparable to a fresh-process run, not to a
-    third same-process pass over warm caches."""
-    from repro.core.harness import clear_boot_checkpoint_cache
-    from repro.sim import system
-    from repro.workloads import hotel
-
-    clear_boot_checkpoint_cache()
-    system._SHARED_ASSEMBLED.clear()
-    hotel._DATASET_CACHE.clear()
 
 
 def _git_sha() -> Optional[str]:
@@ -389,12 +348,4 @@ def render_smoke(report: Dict[str, Any], as_json: bool) -> str:
     if sampled:
         lines.append("  sampled (%s): %.2fs" % (
             sampled["sampling"], sampled["wall_s"]))
-    legacy = report.get("legacy")
-    if legacy:
-        lines.append("  legacy (no predecode): %.2fs" % legacy["wall_s"])
-        if "speedup_vs_legacy" in report:
-            lines.append("  speedup vs legacy: %.1fx full detail%s" % (
-                report["speedup_vs_legacy"],
-                (", %.1fx sampled" % report["sampled_speedup_vs_legacy"])
-                if "sampled_speedup_vs_legacy" in report else ""))
     return "\n".join(lines)

@@ -1,6 +1,6 @@
 """CPU model base class and run-result record.
 
-A CPU model executes an :class:`~repro.sim.isa.trace.AssembledProgram`
+A CPU model executes an :class:`~repro.sim.isa.base.AssembledProgram`
 against its core's memory hierarchy and returns a :class:`RunResult` with
 the counters the thesis's evaluation collects per request: cycles,
 committed instructions, CPI, and (via the stat tree) cache miss counts.
@@ -89,29 +89,10 @@ class BaseCpu:
         untimed requests (2..9) between the cold and warm measurements.
         ``bpred`` (the detailed core's branch predictor, if any) trains on
         the branch stream, exactly what functional warming is for.
-        Replays predecoded blocks; the walk below is the legacy
-        reference, used when ``predecode.set_enabled(False)``.
+        Replays predecoded blocks (:func:`repro.sim.isa.predecode.
+        warm_run`).
         """
-        if predecode.enabled():
-            return predecode.warm_run(assembled, seed, self.mem, bpred)
-        line_mask = ~(self.mem.config.line_size - 1)
-        mem = self.mem
-        current_line = -1
-        count = 0
-        is_branch = InstrClass.BRANCH
-        for static, addr, taken in assembled.trace(seed):
-            fetch_line = static.pc & line_mask
-            if fetch_line != current_line:
-                mem.warm_touch(static.pc, is_ifetch=True)
-                current_line = fetch_line
-            if static.is_mem:
-                mem.warm_touch(addr, is_ifetch=False,
-                               write=static.icls == InstrClass.STORE,
-                               pc=static.pc)
-            elif bpred is not None and static.icls == is_branch:
-                bpred.predict_and_update(static.pc, taken)
-            count += 1
-        return count
+        return predecode.warm_run(assembled, seed, self.mem, bpred)
 
     def __repr__(self) -> str:
         return "%s(core%d)" % (type(self).__name__, self.core_id)

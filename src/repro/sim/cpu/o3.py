@@ -194,10 +194,8 @@ class O3Cpu(BaseCpu):
         instruction, a loop/call edge or a whole unrolled segment; the
         fetch check runs before each instance's dispatch, on that
         instance's PC (``pcs[index]`` for a segment), so it fetches
-        exactly where one run per instance would.  Arithmetic is
-        bit-identical to the legacy per-instruction loops over
-        ``assembled.trace()`` — the tier-1 suite pins this with the
-        predecode cache forced on and off.
+        exactly where one run per instance would.  The tier-1 suite pins
+        its results with literal goldens.
         """
         base = tracer.now if tracer is not None else 0
         cfg = self.config
@@ -534,7 +532,7 @@ class O3Cpu(BaseCpu):
                     continue
 
                 if seg_mode == WARMUP:
-                    # Per instance, in the legacy order: a fetch touch on
+                    # Per instance, in stream order: a fetch touch on
                     # a line change, then the data touch or the branch
                     # training.  A repeat compute run touches only its
                     # one fetch line.

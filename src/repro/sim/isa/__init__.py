@@ -5,9 +5,10 @@ against a small intermediate representation (:mod:`repro.sim.isa.ir`):
 compute ops, loads/stores over named memory regions, loops, calls, and
 syscalls.  A per-ISA assembler (:mod:`repro.sim.isa.riscv`,
 :mod:`repro.sim.isa.x86`) lowers the IR into a static instruction layout
-with concrete program counters and sizes; the trace generator
-(:mod:`repro.sim.isa.trace`) then walks the assembled program producing the
-dynamic instruction stream the CPU timing models consume.
+with concrete program counters and sizes, an
+:class:`~repro.sim.isa.base.AssembledProgram`; the predecode cache
+(:mod:`repro.sim.isa.predecode`) then replays the assembled program into
+the dynamic instruction stream the CPU timing models consume.
 
 The two ISAs differ where the thesis measured differences: dynamic
 instruction counts along the software stack (x86 executed significantly
@@ -17,6 +18,7 @@ compressed subset, x86 variable length), and therefore code footprints.
 
 from repro.sim.isa.base import (
     ISA,
+    AssembledProgram,
     InstrClass,
     StaticInstr,
     BLOCK_APP,
@@ -36,7 +38,6 @@ from repro.sim.isa.ir import (
 )
 from repro.sim.isa.arm import ArmISA
 from repro.sim.isa.riscv import RiscvISA
-from repro.sim.isa.trace import AssembledProgram, TraceGenerator
 from repro.sim.isa.vector import VectorConfig
 from repro.sim.isa.x86 import X86ISA
 
@@ -86,7 +87,6 @@ __all__ = [
     "Seq",
     "StaticInstr",
     "StridePattern",
-    "TraceGenerator",
     "VectorConfig",
     "X86ISA",
     "get_isa",

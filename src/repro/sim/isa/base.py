@@ -1,9 +1,10 @@
 """ISA model base: instruction classes, static instructions, assembler.
 
 Assembly lowers an IR :class:`~repro.sim.isa.ir.Program` into an
-:class:`~repro.sim.isa.trace.AssembledProgram`: every block becomes a list
-of :class:`StaticInstr` with concrete program counters, byte sizes, and
-register operands wired into dependence chains.  The per-ISA subclasses
+:class:`AssembledProgram`: every block becomes segments of
+:class:`StaticInstr` lists and :class:`UnrolledRun` records with
+concrete program counters, byte sizes, and register operands wired into
+dependence chains.  The per-ISA subclasses
 only provide the lowering tables (expansion factors, instruction sizes,
 stack-path multipliers); the structural work is shared here.
 """
@@ -81,8 +82,8 @@ NUM_ARCH_REGS = 128
 class StaticInstr:
     """One assembled instruction at a fixed program counter.
 
-    ``repeat`` folds tight inner-loop work: the trace generator re-issues
-    the instruction ``repeat`` times dynamically (fresh addresses each time)
+    ``repeat`` folds tight inner-loop work: replay re-issues the
+    instruction ``repeat`` times dynamically (fresh addresses each time)
     without advancing the PC, modelling a hardware-visible micro-loop while
     keeping the instruction footprint honest.
     """
@@ -130,18 +131,16 @@ class StaticInstr:
 
 
 class UnrolledRun:
-    """A deferred unrolled lowering: ``count`` consecutive instructions
-    of one IR op with pre-drawn sizes.
+    """An unrolled lowering: ``count`` consecutive instructions of one
+    IR op with pre-drawn sizes.
 
-    The assembler's hot path used to materialize one
-    :class:`StaticInstr` per unrolled instance — six-figure object
-    counts for straight-line boot code — even though the predecode tier
-    consumes each block exactly once and then replays flat tuples.  A
-    run keeps the compact description (op kind, pre-drawn size stream
-    as ``bytes``, base PC, register-chain position); the predecode
-    decoders consume it directly, and :meth:`materialize` produces the
-    byte-identical per-instruction form for the legacy tier on first
-    demand.
+    Straight-line boot code unrolls to six-figure instruction counts,
+    so no :class:`StaticInstr` is made per instance.  A run keeps the
+    compact description (op kind, pre-drawn size stream as ``bytes``,
+    base PC, register-chain position, and for memory runs the region
+    and pattern); the predecode decoders consume it directly.  Instance
+    ``i`` sits at ``base_pc + sum(sizes[:i])``, so the run covers
+    ``base_pc`` up to ``base_pc + sum(sizes)``.
     """
 
     __slots__ = ("kind", "icls", "count", "base_pc", "sizes", "chain",
@@ -162,136 +161,20 @@ class UnrolledRun:
         self.pattern = pattern
         self.probability = probability
 
-    def materialize(self) -> List[StaticInstr]:
-        """The exact static instructions this run stands for."""
-        sizes = self.sizes
-        count = self.count
-        pc = self.base_pc
-        ilp = self.ilp
-        chain = self.chain
-        kind = self.kind
-        out: List[StaticInstr] = []
-        append = out.append
-        new = StaticInstr.__new__
-        if kind in _COMPUTE_CLASS:
-            icls = _COMPUTE_CLASS[kind]
-            base = FP_CHAIN_BASE if self.fp else INT_CHAIN_BASE
-            lanes = [(base + (lane % 24), (base + (lane % 24), ZERO_REG))
-                     for lane in range(ilp)]
-            for index in range(count):
-                reg, srcs = lanes[(chain + index) % ilp]
-                size = sizes[index]
-                instr = new(StaticInstr)
-                instr.pc = pc
-                instr.size = size
-                instr.icls = icls
-                instr.srcs = srcs
-                instr.dst = reg
-                instr.repeat = 1
-                instr.region = None
-                instr.pattern = None
-                instr.taken_probability = 1.0
-                instr.is_mem = False
-                instr.target_pc = 0
-                instr.rotate = ()
-                append(instr)
-                pc += size
-        elif kind == ir.OP_LOAD or kind == ir.OP_STORE:
-            regs = [INT_CHAIN_BASE + (lane % 24) for lane in range(ilp)]
-            region = self.region
-            load = kind == ir.OP_LOAD
-            icls = InstrClass.LOAD if load else InstrClass.STORE
-            load_srcs = (ADDR_REG,)
-            strided = isinstance(self.pattern, ir.StridePattern)
-            for index in range(count):
-                reg = regs[(chain + index) % ilp]
-                size = sizes[index]
-                if strided:
-                    pattern: Optional[ir.AddressPattern] = ir.StridePattern(
-                        stride=self.pattern.stride,
-                        start=self.pattern.start + index * self.pattern.stride)
-                else:
-                    pattern = self.pattern
-                instr = new(StaticInstr)
-                instr.pc = pc
-                instr.size = size
-                instr.icls = icls
-                if load:
-                    instr.srcs = load_srcs
-                    instr.dst = reg
-                else:
-                    instr.srcs = (reg, ADDR_REG)
-                    instr.dst = -1
-                instr.repeat = 1
-                instr.region = region
-                instr.pattern = pattern
-                instr.taken_probability = 1.0
-                instr.is_mem = True
-                instr.target_pc = 0
-                instr.rotate = ()
-                append(instr)
-                pc += size
-        elif kind == ir.OP_BRANCH:
-            icls = InstrClass.BRANCH
-            regs = [INT_CHAIN_BASE + (lane % 24) for lane in range(ilp)]
-            probability = self.probability
-            for index in range(count):
-                reg = regs[(chain + index) % ilp]
-                size = sizes[index]
-                instr = new(StaticInstr)
-                instr.pc = pc
-                instr.size = size
-                instr.icls = icls
-                instr.srcs = (reg,)
-                instr.dst = -1
-                instr.repeat = 1
-                instr.region = None
-                instr.pattern = None
-                instr.taken_probability = probability
-                instr.is_mem = False
-                instr.target_pc = 0
-                instr.rotate = ()
-                append(instr)
-                pc += size
-        else:
-            raise ValueError("cannot unroll IR op kind %r" % kind)
-        return out
-
 
 class AssembledBlock:
-    """A lowered IR block: static instructions plus dependency metadata.
+    """A lowered IR block.
 
-    ``segments`` is the compact lowered form: a sequence whose items are
-    either eager ``StaticInstr`` lists or :class:`UnrolledRun` records.
-    The predecode tier decodes straight from segments; :attr:`instrs`
-    materializes (and caches) the flat per-instruction view for the
-    legacy tier and validation.
+    ``segments`` is the lowered form, in layout order: a tuple whose
+    items are either ``StaticInstr`` lists or :class:`UnrolledRun`
+    records.  Predecode decodes straight from it.
     """
 
-    __slots__ = ("_instrs", "kind", "segments")
+    __slots__ = ("kind", "segments")
 
-    def __init__(self, instrs: Optional[List[StaticInstr]], kind: str,
-                 segments: Optional[tuple] = None):
-        if segments is None:
-            segments = ((instrs if instrs is not None else []),)
-            self._instrs = instrs
-        else:
-            self._instrs = instrs
+    def __init__(self, kind: str, segments: tuple):
         self.kind = kind
         self.segments = segments
-
-    @property
-    def instrs(self) -> List[StaticInstr]:
-        flat = self._instrs
-        if flat is None:
-            flat = []
-            for segment in self.segments:
-                if type(segment) is UnrolledRun:
-                    flat.extend(segment.materialize())
-                else:
-                    flat.extend(segment)
-            self._instrs = flat
-        return flat
 
 
 class AssembledLoop:
@@ -326,6 +209,29 @@ class AssembledRoutine:
         self.body = body
         self.code_base = code_base
         self.code_size = code_size
+
+
+class AssembledProgram:
+    """A program lowered to one ISA's instruction layout."""
+
+    def __init__(self, program, isa, routines: Dict[str, AssembledRoutine]):
+        self.program = program
+        self.isa = isa
+        self.routines = routines
+        self.entry = program.entry
+
+    @property
+    def name(self) -> str:
+        return self.program.name
+
+    def code_bytes(self) -> int:
+        """Total static code footprint in bytes (all routines)."""
+        return sum(routine.code_size for routine in self.routines.values())
+
+    def __repr__(self) -> str:
+        return "AssembledProgram(%s/%s, %d routines, %d code bytes)" % (
+            self.name, self.isa.name, len(self.routines), self.code_bytes(),
+        )
 
 
 class ISA:
@@ -399,10 +305,8 @@ class ISA:
 
     # -- assembly ----------------------------------------------------------
 
-    def assemble(self, program: ir.Program) -> "AssembledProgram":
+    def assemble(self, program: ir.Program) -> AssembledProgram:
         """Lower ``program`` to a per-ISA instruction layout."""
-        from repro.sim.isa.trace import AssembledProgram
-
         program.validate()
         rng = random.Random("%d|%s|layout" % (program.seed, self.name))
         pc_cursor = {
@@ -417,7 +321,7 @@ class ISA:
             body = self._assemble_node(routine.body, ctx)
             # A terminating return so the routine has a well-defined end.
             ret = ctx.emit(InstrClass.RET, srcs=(ZERO_REG,), dst=-1)
-            body.append(AssembledBlock([ret], BLOCK_STACK))
+            body.append(AssembledBlock(BLOCK_STACK, ([ret],)))
             code_size = ctx.pc - base
             pc_cursor[segment] = ctx.pc + 64  # pad between routines
             routines[routine.name] = AssembledRoutine(routine.name, body, base, code_size)
@@ -462,8 +366,6 @@ class ISA:
             count = max(1, int(round(scaled)))
             if op.unrolled:
                 # Distinct PCs, each executed once: honest I-footprint.
-                # Deferred: the run materializes per-instruction form
-                # only if a legacy consumer asks for it.
                 run, chain = self._emit_unrolled(op, count, block, chain, ctx)
                 if instrs:
                     segments.append(instrs)
@@ -537,11 +439,9 @@ class ISA:
                     )
             else:
                 raise ValueError("cannot lower IR op kind %r" % op.kind)
-        if not segments:
-            return AssembledBlock(instrs, block.kind)
-        if instrs:
+        if instrs or not segments:
             segments.append(instrs)
-        return AssembledBlock(None, block.kind, tuple(segments))
+        return AssembledBlock(block.kind, tuple(segments))
 
     def _emit_vector(
         self,
@@ -562,8 +462,8 @@ class ISA:
         for identical IR.  Strips rotate across the configured lanes,
         which the O3 model exploits exactly like scalar chain rotation.
         The lowered instructions are ordinary repeat-form
-        :class:`StaticInstr`, so both the predecode and the legacy tier
-        replay them with no vector-specific handling.
+        :class:`StaticInstr`, so replay needs no vector-specific
+        handling.
         """
         from repro.sim.isa.vector import elements_per_instr
 
@@ -624,15 +524,14 @@ class ISA:
         chain: int,
         ctx: "_AsmContext",
     ) -> Tuple[UnrolledRun, int]:
-        """Lower one IR op to a deferred run of ``count`` instructions.
+        """Lower one IR op to a run of ``count`` instructions.
 
         This is the assembler's hot path: straight-line boot/runtime
         code unrolls to hundreds of thousands of instructions.  Sizes
         are drawn in bulk (:meth:`instr_sizes`) — the layout rng and PC
-        cursor advance exactly as per-instruction emission would — but
-        the :class:`StaticInstr` objects themselves are deferred to
-        :meth:`UnrolledRun.materialize`, which only legacy consumers
-        trigger; the predecode tier decodes the run directly.
+        cursor advance exactly as per-instruction emission would — and
+        no :class:`StaticInstr` is made: predecode decodes the run
+        directly.
         """
         kind = op.kind
         if kind in _COMPUTE_CLASS:

@@ -9,8 +9,9 @@ rows read, modules imported), so the dynamic instruction and address
 streams reflect genuine workload behaviour rather than canned numbers.
 
 Programs are assembled per-ISA (see :mod:`repro.sim.isa.base`) and then
-replayed by the trace generator.  Loop bodies keep their program counters
-across iterations, so instruction-cache locality behaves as in real code.
+replayed by the CPU models (see :mod:`repro.sim.isa.predecode`).  Loop
+bodies keep their program counters across iterations, so
+instruction-cache locality behaves as in real code.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class AddressSpace:
 class AddressPattern:
     """Produces a deterministic sequence of byte offsets within a region.
 
-    Patterns are *stateless descriptors*; the trace generator materialises a
-    cursor per traversal, so the same program can be replayed identically.
+    Patterns are *stateless descriptors*: each :meth:`offsets` call starts
+    a fresh cursor, so the same program can be replayed identically.
     """
 
     def offsets(self, region: Region, count: int, rng: random.Random) -> Iterable[int]:

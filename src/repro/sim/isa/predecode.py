@@ -1,15 +1,12 @@
 """Basic-block predecode cache: decode each static block once, replay many.
 
-The legacy trace path (:mod:`repro.sim.isa.trace`) re-derives every
-dynamic instruction from the IR structure on every run: one generator
-frame per block, per-instance class dispatch, per-access pattern
-arithmetic, and a ``(static, addr, taken)`` tuple allocation per
-instruction.  The experiment protocol replays the same assembled
-programs hundreds of times (boot, warming requests, cold/warm measured
-requests), so all of that work is redundant after the first replay.
-
-This module decodes each *static* :class:`~repro.sim.isa.base.AssembledBlock`
-exactly once per consumer into flat tuples, and replays those:
+The experiment protocol replays the same assembled programs hundreds of
+times (boot, warming requests, cold/warm measured requests), so every
+piece of per-instruction work that depends only on the static program —
+class dispatch, PCs, register lanes, stride addresses, I-cache line
+splits — is done once.  This module decodes each *static*
+:class:`~repro.sim.isa.base.AssembledBlock` exactly once per consumer
+into flat tuples, and replays those:
 
 * ``atomic_run``  — timed in-order replay for ``AtomicCpu.run_program``:
   one step per repeat instruction or fetch point, and one step per
@@ -18,20 +15,24 @@ exactly once per consumer into flat tuples, and replays those:
 * ``warm_run``    — untimed functional warming for ``BaseCpu.warm_program``,
 * ``o3_stream``   — resolved instruction *runs* (one tuple per repeat
   instruction, loop/call edge or unrolled segment) consumed by the O3
-  model's pipeline loops.
+  model's pipeline loops,
+* ``instructions`` — the dynamic instruction stream, one
+  ``(pc, icls, addr, taken)`` per instance, expanded from ``o3_stream``
+  for the program report and the validators.
 
 Boot blocks are straight-line segments of up to millions of unrolled
 instructions that each replay once per process, so the Atomic decode
 of an :class:`~repro.sim.isa.base.UnrolledRun` does no per-instance
 work in Python and caches nothing per instance.
 
-This is the only fast tier.  Replay is **bit-identical** to the legacy
-trace path, which stays as the reference: the same rng draws in the
-same order (address patterns and branch outcomes), the same cycle
-number at every cache/TLB/DRAM access, the same per-access PC (feeding
-PC-indexed prefetchers), and the same statistics.  The tier-1 suite
-asserts this equivalence by calling :func:`set_enabled` — the one
-switch to the legacy path — with the cache forced on and off.
+Replay is deterministic for a given (program, ISA, seed): every walker
+draws address patterns and branch outcomes from the same trace rng in
+the same order, so the replay modes see one dynamic stream, and a run
+makes the same cache/TLB/DRAM accesses at the same cycles and PCs every
+time.  The tier-1 suite pins that behaviour with literal goldens (stat
+dumps, RunResults, memory-call streams and trace event logs) in
+``tests/sim/test_predecode.py`` and ``tests/sim/test_sampled_goldens.py``.
+Every walker stops at the same call depth, :data:`_MAX_CALL_DEPTH`.
 
 Decoded forms are cached on the ``AssembledProgram`` instance itself
 (keyed by consumer and line granularity), so they share the lifetime of
@@ -58,7 +59,6 @@ from repro.sim.isa.base import (
     InstrClass,
     UnrolledRun,
 )
-from repro.sim.isa.trace import _MAX_CALL_DEPTH
 
 _LOAD = InstrClass.LOAD
 _STORE = InstrClass.STORE
@@ -66,29 +66,13 @@ _BRANCH = InstrClass.BRANCH
 _SYSCALL = InstrClass.SYSCALL
 _NUM_CLASSES = len(InstrClass.NAMES)
 
-_ENABLED = True
+#: Nested calls a replay may make; one more raises ``RecursionError``.
+_MAX_CALL_DEPTH = 64
 
 #: Process-wide counter, read by the repository benchmark's host tracer:
 #: ``decoded_blocks`` counts decode misses (first replay of a block per
 #: consumer flavour).
 STATS: dict = {"decoded_blocks": 0}
-
-
-def enabled() -> bool:
-    """Whether replay uses the predecode cache (default: yes)."""
-    return _ENABLED
-
-
-def set_enabled(value: bool) -> bool:
-    """Toggle the predecode cache; returns the previous setting.
-
-    Turning it off selects the legacy trace path, the reference the
-    equivalence tests and ``bench-smoke --with-legacy`` compare against.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(value)
-    return previous
 
 
 def _cache_for(assembled, key) -> dict:
@@ -193,9 +177,10 @@ def program_length(assembled) -> int:
 #
 # Plain cycles accumulate across consecutive non-memory, non-drawing
 # repeat instructions and flush before any step that observes the cycle
-# count or the rng, so every ifetch() and data_access() sees exactly the
-# legacy cycle.  Neither reads the trace rng, so a run's outcome draws
-# may all come before its fetches: the rng sees the legacy order.
+# count or the rng, so every ifetch() and data_access() sees the cycle
+# of a one-instruction-at-a-time walk.  Neither reads the trace rng, so
+# a run's outcome draws may all come before its fetches: the rng sees
+# the stream order.
 
 
 def _split_lines(pc, sizes, line_shift):
@@ -231,9 +216,8 @@ def _decode_atomic_run(run, line_shift, append, counts):
     """Decode one :class:`UnrolledRun` to one step; returns its last line.
 
     The step replays the same fetches, cycles, per-access PCs and
-    addresses, and rng draws as the materialized per-instruction form,
-    without creating the ``StaticInstr`` objects or any per-instance
-    step.
+    addresses, and rng draws as one instruction at a time would,
+    without any per-instance step.
     """
     icls = run.icls
     counts[icls] += run.count
@@ -311,9 +295,9 @@ def _decode_atomic_block(block, line_shift: int):
 def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
     """Timed in-order replay; returns ``(cycles, class_counts)``.
 
-    Bit-identical to ``AtomicCpu.run_program``'s legacy loop over
-    ``assembled.trace(seed)``: same fetches, same per-access cycles and
-    PCs, same rng consumption.
+    Each instruction costs one cycle, plus its I-cache fetch when it
+    starts a new line, its data access for a load or store, and 20 more
+    for a syscall's trap entry and exit.
     """
     rng = random.Random("%d|%d|trace" % (assembled.program.seed, seed))
     rng_random = rng.random
@@ -454,7 +438,7 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
 
 
 def _decode_warm_run(run, line_shift, append, prev_line):
-    """Decode one :class:`UnrolledRun` for warming, skipping materialize."""
+    """Decode one :class:`UnrolledRun` for warming."""
     icls = run.icls
     pc = run.base_pc
     sizes = run.sizes
@@ -547,9 +531,9 @@ def warm_run(assembled, seed: int, mem, bpred=None) -> int:
 
     Mirrors ``BaseCpu.warm_program``: caches and TLBs update on the same
     access stream, the branch predictor (when supplied) trains on every
-    branch outcome, and the trace rng is consumed identically — branch
-    probability draws happen whether or not a predictor is attached,
-    because the legacy trace generator draws them unconditionally.
+    branch outcome, and the trace rng is consumed as in every other
+    replay — branch probability draws happen whether or not a predictor
+    is attached.
     """
     rng = random.Random("%d|%d|trace" % (assembled.program.seed, seed))
     rng_random = rng.random
@@ -670,8 +654,8 @@ def warm_run(assembled, seed: int, mem, bpred=None) -> int:
 # Cached decoded entries are (tag, payload) pairs: tag 0 is a fully
 # resolved run yielded as-is; tags 1/2 carry a run's first twelve fields
 # plus an rng-dependent memory / branch template, resolved per execution
-# — resolution draws from the trace rng in exactly the legacy order,
-# since a run's draws are contiguous in the legacy stream too.
+# — resolution draws from the trace rng in stream order, since a run's
+# draws are contiguous in the dynamic stream.
 #
 # The O3 timing tables are decoded into every run, so they live here,
 # next to the decoder: each cached run is complete by construction.
@@ -738,9 +722,7 @@ def _decode_o3_run(run, line_shift):
     """Decode one :class:`UnrolledRun` to a single O3 entry.
 
     Instance ``i`` sits at ``pcs[i]`` and uses ``lanes[i % ilp]``, the
-    register lane chain position ``chain + i`` gives it: the same PCs,
-    registers, addresses and rng templates the materialized
-    instructions decode to one by one, without creating them.
+    register lane its chain position ``chain + i`` gives it.
     """
     icls = run.icls
     count = run.count
@@ -808,7 +790,13 @@ def _decode_o3_block(block, line_shift):
     return entries
 
 
-def _o3_decoded_runs(assembled, seed, line_shift):
+def o3_stream(assembled, seed, line_shift) -> Iterator[tuple]:
+    """The O3 model's instruction-run stream.
+
+    Both the full-detail pipeline and the sampled fast-forward, warm-up
+    and detail windows consume this stream, so every O3 execution mode
+    sees the same runs.
+    """
     rng = random.Random("%d|%d|trace" % (assembled.program.seed, seed))
     rng_random = rng.random
     blocks = _cache_for(assembled, ("o3", line_shift))
@@ -873,45 +861,20 @@ def _o3_decoded_runs(assembled, seed, line_shift):
     return run_body(routines[assembled.entry].body, 0)
 
 
-def _o3_legacy_runs(assembled, seed, line_shift):
-    """Adapter: the legacy trace stream in run form (count=1 per instance).
+def instructions(assembled,
+                 seed: int = 0) -> Iterator[Tuple[int, int, int, bool]]:
+    """The dynamic instruction stream: ``(pc, icls, addr, taken)`` each.
 
-    Resolves register rotation exactly as the legacy O3 loops did —
-    tracking consecutive instances of one static instruction — so the
-    merged pipeline loop behaves identically with the cache disabled.
+    ``addr`` is the effective byte address of a load or store and -1
+    otherwise; ``taken`` is the branch outcome, False for non-branches.
+    Expands :func:`o3_stream`'s runs (at 64-byte lines, whose decode the
+    default O3 core shares), so it draws the trace rng exactly as
+    replay does.
     """
-    prev_static = None
-    rotation = 0
-    is_store = _STORE
-    for static, addr, taken in assembled.trace(seed):
-        if static is prev_static:
-            rotation += 1
-        else:
-            prev_static = static
-            rotation = 0
-        icls = static.icls
-        rotate = static.rotate
-        if rotate:
-            lane_reg = rotate[rotation % len(rotate)]
-            srcs = ((lane_reg,) if static.dst >= 0 or icls == is_store
-                    else static.srcs)
-            dst = lane_reg if static.dst >= 0 else -1
-        else:
-            srcs = static.srcs
-            dst = static.dst
-        memkind = 1 if icls == _LOAD else (2 if icls == is_store else 0)
-        yield (1, icls, static.pc, static.pc >> line_shift, None, srcs,
-               dst, None, _SERIALIZING_BY_CLASS[icls], _LATENCY_BY_CLASS[icls],
-               _BUSY_BY_CLASS[icls], memkind, (addr,), taken)
-
-
-def o3_stream(assembled, seed, line_shift) -> Iterator[tuple]:
-    """The O3 model's instruction-run stream (decoded, or legacy).
-
-    Both the merged pipeline loop and the sampled fast-forward/warmup
-    windows consume this stream, so the tier choice made here covers
-    every O3 execution mode.
-    """
-    if _ENABLED:
-        return _o3_decoded_runs(assembled, seed, line_shift)
-    return _o3_legacy_runs(assembled, seed, line_shift)
+    for run in o3_stream(assembled, seed, 6):
+        count, icls, pc = run[0], run[1], run[2]
+        pcs, addrs, takens = run[4], run[12], run[13]
+        for index in range(count):
+            yield (pc if pcs is None else pcs[index], icls,
+                   -1 if addrs is None else addrs[index],
+                   takens[index] if type(takens) is list else takens is True)

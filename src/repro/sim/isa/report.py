@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.sim.isa.base import InstrClass
-from repro.sim.isa.trace import AssembledProgram
+from repro.sim.isa.base import AssembledProgram, InstrClass
+from repro.sim.isa.predecode import instructions
 
 LINE_SIZE = 64
 
@@ -33,13 +33,13 @@ class ProgramReport:
         code_lines: Set[int] = set()
         data_lines: Set[int] = set()
         branches = taken = 0
-        for static, addr, was_taken in assembled.trace(seed):
-            self.dynamic_by_class[InstrClass.NAMES[static.icls]] += 1
+        for pc, icls, addr, was_taken in instructions(assembled, seed):
+            self.dynamic_by_class[InstrClass.NAMES[icls]] += 1
             self.dynamic_instructions += 1
-            code_lines.add(static.pc // LINE_SIZE)
-            if static.is_mem:
+            code_lines.add(pc // LINE_SIZE)
+            if addr >= 0:
                 data_lines.add(addr // LINE_SIZE)
-            if static.icls == InstrClass.BRANCH:
+            if icls == InstrClass.BRANCH:
                 branches += 1
                 taken += was_taken
         self.code_lines_touched = len(code_lines)

@@ -4,20 +4,26 @@ Work models are code, and code has bugs; these checks catch the ways a
 bad model silently corrupts an experiment — overlapping code layouts,
 memory accesses escaping their regions, unreachable routines, loops whose
 backedges point nowhere.  The harness does not run them on every build
-(they cost a trace pass); tests and `python -m repro trace` do.
+(they cost a replay of the program); tests and `python -m repro trace`
+do.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List
 
 from repro.sim.isa.base import (
     AssembledBlock,
     AssembledCall,
     AssembledLoop,
+    AssembledProgram,
     InstrClass,
+    UnrolledRun,
 )
-from repro.sim.isa.trace import AssembledProgram
+from repro.sim.isa.predecode import instructions
+
+_MEMORY = (InstrClass.LOAD, InstrClass.STORE)
 
 
 class ValidationIssue:
@@ -75,16 +81,25 @@ def _check_layout(assembled: AssembledProgram) -> List[ValidationIssue]:
 
 
 def _walk_instrs(body):
+    """Every static instruction as ``(pc, icls, region)``, in layout
+    order; an unrolled run gives one entry per instance."""
     for node in body:
         if isinstance(node, AssembledBlock):
-            for instr in node.instrs:
-                yield instr
+            for segment in node.segments:
+                if type(segment) is UnrolledRun:
+                    for pc in accumulate(segment.sizes[:-1],
+                                         initial=segment.base_pc):
+                        yield pc, segment.icls, segment.region
+                else:
+                    for instr in segment:
+                        yield instr.pc, instr.icls, instr.region
         elif isinstance(node, AssembledLoop):
             yield from _walk_instrs(node.body)
-            yield node.backedge
+            backedge = node.backedge
+            yield backedge.pc, backedge.icls, backedge.region
         elif isinstance(node, AssembledCall):
-            yield node.call_instr
-            yield node.ret_instr
+            for instr in (node.call_instr, node.ret_instr):
+                yield instr.pc, instr.icls, instr.region
 
 
 def _check_structure(assembled: AssembledProgram) -> List[ValidationIssue]:
@@ -94,19 +109,19 @@ def _check_structure(assembled: AssembledProgram) -> List[ValidationIssue]:
     for name, routine in assembled.routines.items():
         last_pc = -1
         end = routine.code_base + routine.code_size
-        for instr in _walk_instrs(routine.body):
-            if not routine.code_base <= instr.pc < end:
+        for pc, icls, region in _walk_instrs(routine.body):
+            if not routine.code_base <= pc < end:
                 issues.append(ValidationIssue(
                     "error",
                     "instr at 0x%x escapes routine %s [0x%x, 0x%x)"
-                    % (instr.pc, name, routine.code_base, end)))
-            if instr.pc < last_pc:
+                    % (pc, name, routine.code_base, end)))
+            if pc < last_pc:
                 issues.append(ValidationIssue(
                     "error", "PCs not monotonic in routine %s" % name))
-            last_pc = instr.pc
-            if instr.is_mem and instr.region is None:
+            last_pc = pc
+            if icls in _MEMORY and region is None:
                 issues.append(ValidationIssue(
-                    "error", "memory instr at 0x%x has no region" % instr.pc))
+                    "error", "memory instr at 0x%x has no region" % pc))
         for node in routine.body:
             if isinstance(node, AssembledCall):
                 called.add(node.routine)
@@ -130,15 +145,19 @@ def _check_dynamic(assembled: AssembledProgram,
                    trace_seed: int) -> List[ValidationIssue]:
     """Replay once: addresses in bounds, branches carry outcomes."""
     issues: List[ValidationIssue] = []
+    regions = {pc: region
+               for routine in assembled.routines.values()
+               for pc, icls, region in _walk_instrs(routine.body)
+               if icls in _MEMORY}
     bad_addresses = 0
-    for static, addr, taken in assembled.trace(trace_seed):
-        if static.is_mem:
-            region = static.region
+    for pc, icls, addr, taken in instructions(assembled, trace_seed):
+        if icls in _MEMORY:
+            region = regions[pc]
             if not region.base <= addr < region.end:
                 bad_addresses += 1
-        elif static.icls == InstrClass.BRANCH and not isinstance(taken, bool):
+        elif icls == InstrClass.BRANCH and not isinstance(taken, bool):
             issues.append(ValidationIssue(
-                "error", "branch at 0x%x yields non-bool outcome" % static.pc))
+                "error", "branch at 0x%x yields non-bool outcome" % pc))
     if bad_addresses:
         issues.append(ValidationIssue(
             "error", "%d memory accesses escaped their regions" % bad_addresses))

@@ -7,6 +7,7 @@ from repro.core.duplex import DuplexHarness, build_client_program
 from repro.core.harness import clear_boot_checkpoint_cache
 from repro.core.results import MeasurementTable
 from repro.core.scale import SimScale
+from repro.sim.isa.predecode import program_length
 from repro.workloads.catalog import get_function
 
 SCALE = SimScale(time=2048, space=32)
@@ -66,8 +67,8 @@ class TestDuplex:
         from repro.sim.isa import get_isa
 
         isa = get_isa("riscv")
-        assert isa.assemble(large).dynamic_length() > \
-            isa.assemble(small).dynamic_length()
+        assert program_length(isa.assemble(large)) > \
+            program_length(isa.assemble(small))
 
 
 class TestCharts:

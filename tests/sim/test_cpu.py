@@ -221,7 +221,7 @@ class TestKvm:
             straightline,
             unrolled_shapes,
         )
-        from repro.sim.isa.trace import _MAX_CALL_DEPTH
+        from repro.sim.isa.predecode import _MAX_CALL_DEPTH
 
         programs = [predecode_program(seed=3),
                     predecode_program(seed=5, random_pattern=True),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.isa import get_isa, ir
+from repro.sim.isa.predecode import program_length
 from repro.sim.system import SimulatedSystem
 
 
@@ -117,7 +118,7 @@ def test_property_isas_execute_same_ir(program):
     lengths = {}
     for isa_name in ("riscv", "x86", "arm"):
         assembled = get_isa(isa_name).assemble(program)
-        lengths[isa_name] = assembled.dynamic_length()
+        lengths[isa_name] = program_length(assembled)
         assert lengths[isa_name] > 0
     # Fixed-width ISAs bracket the variable-length one only loosely; the
     # invariant worth holding is every ISA executes the full program.

@@ -1,4 +1,5 @@
-"""Tests for the IR, the two ISA lowerings, and trace generation."""
+"""Tests for the IR, the ISA lowerings, and the dynamic stream they
+replay into."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim.isa import get_isa, ir
 from repro.sim.isa.base import InstrClass
+from repro.sim.isa.predecode import instructions, program_length
 from repro.sim.isa.riscv import RiscvISA
 from repro.sim.isa.x86 import X86ISA
 
@@ -104,8 +106,8 @@ class TestLowering:
     def test_trace_deterministic(self):
         program = simple_program(seed=3)
         assembled = get_isa("riscv").assemble(program)
-        first = [(si.pc, addr, taken) for si, addr, taken in assembled.trace(seed=7)]
-        second = [(si.pc, addr, taken) for si, addr, taken in assembled.trace(seed=7)]
+        first = list(instructions(assembled, seed=7))
+        second = list(instructions(assembled, seed=7))
         assert first == second
 
     def test_trace_seed_changes_random_addresses(self):
@@ -114,17 +116,19 @@ class TestLowering:
         block = ir.touch_block(buf, loads=64, pattern=ir.RandomPattern())
         program.add_routine(ir.Routine("main", block), entry=True)
         assembled = get_isa("riscv").assemble(program)
-        addrs_a = [addr for _si, addr, _t in assembled.trace(seed=1) if addr >= 0]
-        addrs_b = [addr for _si, addr, _t in assembled.trace(seed=2) if addr >= 0]
+        addrs_a = [addr for _pc, _c, addr, _t
+                   in instructions(assembled, seed=1) if addr >= 0]
+        addrs_b = [addr for _pc, _c, addr, _t
+                   in instructions(assembled, seed=2) if addr >= 0]
         assert addrs_a != addrs_b
 
     def test_loop_reuses_pcs(self):
         program = simple_program(trips=3)
         assembled = get_isa("riscv").assemble(program)
         pcs_per_trip = {}
-        for si, _addr, _taken in assembled.trace():
-            pcs_per_trip.setdefault(si.pc, 0)
-            pcs_per_trip[si.pc] += 1
+        for pc, _icls, _addr, _taken in instructions(assembled):
+            pcs_per_trip.setdefault(pc, 0)
+            pcs_per_trip[pc] += 1
         # Loop-body instructions execute 3 times at the same pc.
         assert max(pcs_per_trip.values()) >= 3
 
@@ -133,16 +137,16 @@ class TestLowering:
         buf = program.space.alloc("buf", 1 << 14)
         block = ir.straightline_block(2000, data_region=buf, kind="stack")
         program.add_routine(ir.Routine("main", block), entry=True)
-        riscv_count = get_isa("riscv").assemble(program).dynamic_length()
-        x86_count = get_isa("x86").assemble(program).dynamic_length()
+        riscv_count = program_length(get_isa("riscv").assemble(program))
+        x86_count = program_length(get_isa("x86").assemble(program))
         assert x86_count > riscv_count * 1.4
 
     def test_x86_app_compute_denser(self):
         program = ir.Program("hot")
         block = ir.compute_block(ialu=5000, kind="app")
         program.add_routine(ir.Routine("main", block), entry=True)
-        riscv_count = get_isa("riscv").assemble(program).dynamic_length()
-        x86_count = get_isa("x86").assemble(program).dynamic_length()
+        riscv_count = program_length(get_isa("riscv").assemble(program))
+        x86_count = program_length(get_isa("x86").assemble(program))
         assert x86_count < riscv_count
 
     def test_x86_code_footprint_larger_for_stack_code(self):
@@ -157,8 +161,8 @@ class TestLowering:
         program = simple_program()
         buf = program.space.find("buf")
         assembled = get_isa("x86").assemble(program)
-        for si, addr, _taken in assembled.trace():
-            if si.is_mem:
+        for _pc, icls, addr, _taken in instructions(assembled):
+            if icls in (InstrClass.LOAD, InstrClass.STORE):
                 assert buf.base <= addr < buf.end
 
     def test_unrolled_ops_get_distinct_pcs(self):
@@ -166,7 +170,8 @@ class TestLowering:
         block = ir.Block([ir.IROp(ir.OP_IALU, count=50, unrolled=True)])
         program.add_routine(ir.Routine("main", block), entry=True)
         assembled = get_isa("riscv").assemble(program)
-        pcs = [si.pc for si, _a, _t in assembled.trace() if si.icls == InstrClass.IALU]
+        pcs = [pc for pc, icls, _a, _t in instructions(assembled)
+               if icls == InstrClass.IALU]
         assert len(pcs) == len(set(pcs)) == 50
 
     def test_loop_backedge_taken_except_last(self):
@@ -174,8 +179,8 @@ class TestLowering:
         body = ir.Loop(ir.compute_block(ialu=1), trips=4)
         program.add_routine(ir.Routine("main", body), entry=True)
         assembled = get_isa("riscv").assemble(program)
-        outcomes = [taken for si, _a, taken in assembled.trace()
-                    if si.icls == InstrClass.BRANCH]
+        outcomes = [taken for _pc, icls, _a, taken in instructions(assembled)
+                    if icls == InstrClass.BRANCH]
         assert outcomes == [True, True, True, False]
 
     def test_call_descends_into_callee(self):
@@ -183,7 +188,7 @@ class TestLowering:
         program.add_routine(ir.Routine("main", ir.Call("helper")), entry=True)
         program.add_routine(ir.Routine("helper", ir.compute_block(ialu=3)))
         assembled = get_isa("riscv").assemble(program)
-        classes = [si.icls for si, _a, _t in assembled.trace()]
+        classes = [icls for _pc, icls, _a, _t in instructions(assembled)]
         assert InstrClass.CALL in classes
         assert classes.count(InstrClass.IALU) == 3
 
@@ -192,7 +197,7 @@ class TestLowering:
         program.add_routine(ir.Routine("main", ir.Call("main")), entry=True)
         assembled = get_isa("riscv").assemble(program)
         with pytest.raises(RecursionError):
-            list(assembled.trace())
+            list(instructions(assembled))
 
 
 class TestInstrSizes:
@@ -249,7 +254,7 @@ def test_property_dynamic_length_scales_with_trips(ialu, loads, trips, isa_name)
             trips=t,
         )
         program.add_routine(ir.Routine("main", body), entry=True)
-        return get_isa(isa_name).assemble(program).dynamic_length()
+        return program_length(get_isa(isa_name).assemble(program))
 
     single = build(1)
     many = build(trips)

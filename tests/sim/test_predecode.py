@@ -3,20 +3,24 @@ dumps, memory-call streams and trace event logs, across ISAs, CPU models,
 sampling, the vector lane, seeds, program shapes, I-cache line sizes and
 call depths.
 
-Every golden was captured from the legacy trace walker (tier 1), and
-each case still asserts that tier 1 gives its literal too.
+Every golden was captured from the original per-instruction trace
+walker, which walked the program one dynamic instruction at a time and
+which the predecode replay matched bit for bit before the walker was
+retired.  A hypothesis property checks what needs no oracle.
 """
 
 import hashlib
 import json
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.isa import ir, predecode
-from repro.sim.isa.base import AssembledBlock, UnrolledRun
-from repro.sim.isa.trace import _MAX_CALL_DEPTH
+from repro.sim.isa.base import AssembledBlock, InstrClass, UnrolledRun
+from repro.sim.isa.predecode import _MAX_CALL_DEPTH
 from repro.sim.isa.vector import VectorConfig
 from repro.sim.mem.hierarchy import MemoryHierarchyConfig
 from repro.sim.sampling import SamplingConfig
@@ -169,20 +173,9 @@ def replay(program, isa, model, seed, sampling=None, vector=None,
     return counters + (stat_digest(system.dump_stats()),)
 
 
-def legacy(observe, *args):
-    """``observe(*args)`` on the legacy trace walker (tier 1)."""
-    previous = predecode.set_enabled(False)
-    try:
-        return observe(*args)
-    finally:
-        predecode.set_enabled(previous)
-
-
 def assert_golden(key, observe, *args):
-    """``observe(*args)`` gives the literal ``GOLDENS[key]`` on the
-    predecode replay and on tier 1."""
+    """``observe(*args)`` gives the literal ``GOLDENS[key]``."""
     assert observe(*args) == GOLDENS[key]
-    assert legacy(observe, *args) == GOLDENS[key]
 
 
 def assert_replay(key, program, isa, model, seed=0, sampling=None,
@@ -595,7 +588,8 @@ class TestO3Runs:
     @pytest.mark.parametrize("isa", ISAS)
     def test_unrolled_segment_is_one_run(self, isa):
         """A block of k unrolled ops decodes to k runs, one per segment,
-        carrying the materialized instructions' PCs."""
+        carrying its instances' PCs: instance i at base_pc +
+        sum(sizes[:i])."""
         program = ir.Program("seg", seed=4)
         buf = program.space.alloc("buf", 1 << 12)
         program.add_routine(ir.Routine(
@@ -612,9 +606,10 @@ class TestO3Runs:
         for run, segment in zip(runs, segments):
             count, _, pc, line, pcs = run[:5]
             assert count == segment.count
-            instrs = segment.materialize()
-            assert list(pcs) == [instr.pc for instr in instrs]
-            assert (pc, line) == (instrs[0].pc, instrs[0].pc >> 6)
+            base = segment.base_pc
+            assert list(pcs) == list(accumulate(segment.sizes[:-1],
+                                                initial=base))
+            assert (pc, line) == (base, base >> 6)
         assert sum(run[0] for run in runs) == \
             predecode.program_length(assembled)
 
@@ -713,29 +708,59 @@ class TestCallDepth:
         assert_replay(("chain", model), call_chain(_MAX_CALL_DEPTH),
                       "riscv", model, seed=2)
 
-    @pytest.mark.parametrize("enabled", [True, False])
+    # ``True`` in the ids names the predecode replay; the ids keep
+    # that field, so the recorded test names stay stable.
+    @pytest.mark.parametrize("predecoded", [True])
     @pytest.mark.parametrize("model", MODES)
     @too_deep
-    def test_too_deep_raises(self, program, model, enabled):
-        replay_on = replay if enabled else (
-            lambda *args: legacy(replay, *args))
+    def test_too_deep_raises(self, program, model, predecoded):
         with pytest.raises(RecursionError, match="call depth exceeded"):
-            replay_on(program, "riscv", model, 2)
+            replay(program, "riscv", model, 2)
 
     def test_program_length_at_the_limit(self):
         program = call_chain(_MAX_CALL_DEPTH)
         instructions = replay(program, "riscv", "o3", 2)[1]
         assembled = SimulatedSystem("s", "riscv").assemble(program)
-        assert predecode.program_length(assembled) == \
-            assembled.dynamic_length() == instructions
+        assert predecode.program_length(assembled) == instructions
 
     @too_deep
     def test_program_length_too_deep_raises(self, program):
         assembled = SimulatedSystem("s", "riscv").assemble(program)
         with pytest.raises(RecursionError, match="call depth exceeded"):
             predecode.program_length(assembled)
-        with pytest.raises(RecursionError, match="call depth exceeded"):
-            assembled.dynamic_length()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    isa=st.sampled_from(ISAS),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    trips=st.integers(min_value=1, max_value=40),
+    taken_probability=st.floats(min_value=0.0, max_value=1.0),
+    random_pattern=st.booleans(),
+)
+def test_property_replay_consistent(isa, seed, trips, taken_probability,
+                                    random_pattern):
+    """Checks that need no oracle: Atomic, O3 and warming execute the
+    program's length, Atomic's class counts are the instruction
+    stream's, and a second replay on a fresh system, reusing the cached
+    decode, repeats the first."""
+    program = build_program(seed=seed, trips=trips,
+                            taken_probability=taken_probability,
+                            random_pattern=random_pattern)
+    system = system_for(isa)
+    system.run(1, program, model="atomic", seed=seed)
+    assembled = system.assemble(program)
+    histogram = Counter(InstrClass.NAMES[icls] for _, icls, _, _ in
+                        predecode.instructions(assembled, seed))
+    dump = system.dump_stats()
+    assert {name: dump["s.cpu1.atomic.instsByClass::" + name]
+            for name in InstrClass.NAMES} == \
+        {name: histogram[name] for name in InstrClass.NAMES}
+    length = predecode.program_length(assembled)
+    for model in ("atomic", "o3", "warm"):
+        first = replay(program, isa, model, seed)
+        assert first[0 if model == "warm" else 1] == length
+        assert replay(program, isa, model, seed) == first
 
 
 class TestTracedEquivalence:

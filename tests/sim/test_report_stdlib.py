@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.isa import get_isa, ir
+from repro.sim.isa.predecode import program_length
 from repro.sim.isa.report import report
 from repro.sim.stdlib import (
     build_board,
@@ -26,7 +27,7 @@ class TestProgramReport:
     def test_counts_match_trace(self):
         assembled = get_isa("riscv").assemble(make_program())
         profile = report(assembled)
-        assert profile.dynamic_instructions == assembled.dynamic_length()
+        assert profile.dynamic_instructions == program_length(assembled)
         assert profile.dynamic_by_class["load"] == 80
         assert profile.dynamic_by_class["store"] == 20
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.sim.isa import get_isa, ir
 from repro.sim.isa.base import InstrClass
+from repro.sim.isa.predecode import instructions
 from repro.sim.isa.report import report
 from repro.sim.isa.vector import VectorConfig, elements_per_instr, strip_plan
 from repro.sim.system import SimulatedSystem
@@ -106,10 +107,8 @@ class TestScalarFallback:
     def test_stream_identical_per_isa(self, isa_name):
         vector = build_vector_program()
         scalar = build_vector_program(scalarize=True)
-        traced_v = [(d[0].pc, d[0].icls, d[1], d[2])
-                    for d in get_isa(isa_name).assemble(vector).trace(3)]
-        traced_s = [(d[0].pc, d[0].icls, d[1], d[2])
-                    for d in get_isa(isa_name).assemble(scalar).trace(3)]
+        traced_v = list(instructions(get_isa(isa_name).assemble(vector), 3))
+        traced_s = list(instructions(get_isa(isa_name).assemble(scalar), 3))
         assert traced_v == traced_s
 
     @pytest.mark.parametrize("isa_name", ISAS)

@@ -6,6 +6,7 @@ from repro.core.scale import SimScale
 from repro.db import CassandraStore
 from repro.serverless.engine import install_docker
 from repro.serverless.faas import FaasPlatform
+from repro.sim.isa.predecode import instructions, program_length
 from repro.workloads.catalog import (
     HOTEL_FUNCTIONS,
     ONLINESHOP_FUNCTIONS,
@@ -237,8 +238,8 @@ class TestWorkModels:
         isa = get_isa("riscv")
         asm_a = isa.assemble(function.invocation_program(warm_a, {}, SCALE))
         asm_b = isa.assemble(function.invocation_program(warm_b, {}, SCALE))
-        pcs_a = [si.pc for si, _addr, _t in asm_a.trace()]
-        pcs_b = [si.pc for si, _addr, _t in asm_b.trace()]
+        pcs_a = [pc for pc, _icls, _addr, _t in instructions(asm_a)]
+        pcs_b = [pc for pc, _icls, _addr, _t in instructions(asm_b)]
         assert pcs_a == pcs_b
 
     def test_different_functions_different_addresses(self):
@@ -257,8 +258,8 @@ class TestWorkModels:
         from repro.sim.isa import get_isa
 
         isa = get_isa("riscv")
-        small = isa.assemble(function.invocation_program(
-            record, {}, SimScale(time=4096, space=32))).dynamic_length()
-        large = isa.assemble(function.invocation_program(
-            record, {}, SimScale(time=1024, space=32))).dynamic_length()
+        small = program_length(isa.assemble(function.invocation_program(
+            record, {}, SimScale(time=4096, space=32))))
+        large = program_length(isa.assemble(function.invocation_program(
+            record, {}, SimScale(time=1024, space=32))))
         assert 2.0 < large / small < 8.0  # roughly 4x

@@ -5,6 +5,7 @@ import pytest
 from repro.core.scale import SimScale
 from repro.db import CassandraStore, MongoStore
 from repro.sim.isa import get_isa, ir
+from repro.sim.isa.predecode import instructions, program_length
 from repro.workloads.boot import build_boot_program, build_db_boot_program
 from repro.workloads.builder import WorkBuilder
 from repro.workloads.runtime import RUNTIMES, get_runtime
@@ -45,13 +46,13 @@ class TestBootPrograms:
     def test_riscv_boot_includes_opensbi_stage(self):
         riscv = build_boot_program("riscv", SCALE)
         x86 = build_boot_program("x86", SCALE)
-        riscv_length = get_isa("riscv").assemble(riscv).dynamic_length()
-        x86_length = get_isa("x86").assemble(x86).dynamic_length()
+        riscv_length = program_length(get_isa("riscv").assemble(riscv))
+        x86_length = program_length(get_isa("x86").assemble(x86))
         # Same stack except the extra SBI stage (stack-kind expansion on
         # x86 cancels only partially at this size; compare on riscv).
         riscv_no_sbi = build_boot_program("x86", SCALE)
-        assert riscv_length > get_isa("riscv").assemble(
-            riscv_no_sbi).dynamic_length()
+        assert riscv_length > program_length(get_isa("riscv").assemble(
+            riscv_no_sbi))
         assert x86_length > 0
 
     def test_container_engine_stage_optional(self):
@@ -59,23 +60,23 @@ class TestBootPrograms:
         without = build_boot_program("riscv", SCALE,
                                      with_container_engine=False)
         isa = get_isa("riscv")
-        assert isa.assemble(with_engine).dynamic_length() > \
-            isa.assemble(without).dynamic_length()
+        assert program_length(isa.assemble(with_engine)) > \
+            program_length(isa.assemble(without))
 
     def test_db_boot_scales_with_store_profile(self):
         isa = get_isa("riscv")
         cassandra = build_db_boot_program(CassandraStore(), "riscv", SCALE)
         mongo = build_db_boot_program(MongoStore(), "riscv", SCALE)
-        assert isa.assemble(cassandra).dynamic_length() > \
-            2 * isa.assemble(mongo).dynamic_length()
+        assert program_length(isa.assemble(cassandra)) > \
+            2 * program_length(isa.assemble(mongo))
 
     def test_fidelity_trades_instructions(self):
         isa = get_isa("riscv")
         fine = build_db_boot_program(MongoStore(), "riscv", SCALE, fidelity=8)
         coarse = build_db_boot_program(MongoStore(), "riscv", SCALE,
                                        fidelity=128)
-        assert isa.assemble(fine).dynamic_length() > \
-            isa.assemble(coarse).dynamic_length()
+        assert program_length(isa.assemble(fine)) > \
+            program_length(isa.assemble(coarse))
 
 
 class TestWorkBuilder:
@@ -129,8 +130,8 @@ class TestWorkBuilder:
         from repro.sim.isa.base import InstrClass
 
         backedges = sum(
-            1 for si, _a, taken in assembled.trace()
-            if si.icls == InstrClass.BRANCH and taken
+            1 for _pc, icls, _a, taken in instructions(assembled)
+            if icls == InstrClass.BRANCH and taken
         )
         assert backedges >= 4  # 5 trips -> 4 taken backedges
 
@@ -142,7 +143,7 @@ class TestWorkBuilder:
         def length(native, units):
             builder = self.make_builder(runtime="python", cold=False)
             builder.compute(ialu=units, native=native)
-            return isa.assemble(builder.build()).dynamic_length()
+            return program_length(isa.assemble(builder.build()))
 
         baseline = length(native=True, units=1)
         interpreted_delta = length(native=False, units=200_000) - baseline
@@ -155,8 +156,8 @@ class TestWorkBuilder:
         b = self.make_builder(runtime="python", cold=False)
         b.compute(ialu=10_000, native=False)
         isa = get_isa("riscv")
-        assert isa.assemble(a.build()).dynamic_length() < \
-            isa.assemble(b.build()).dynamic_length()
+        assert program_length(isa.assemble(a.build())) < \
+            program_length(isa.assemble(b.build()))
 
     def test_cold_connect_only_affects_cold(self):
         cold_builder = self.make_builder(cold=True)
@@ -166,8 +167,8 @@ class TestWorkBuilder:
         warm_builder.cold_connect("database")  # silently ignored
         warm_builder.compute(ialu=10)
         isa = get_isa("riscv")
-        assert isa.assemble(cold_builder.build()).dynamic_length() > \
-            isa.assemble(warm_builder.build()).dynamic_length() * 3
+        assert program_length(isa.assemble(cold_builder.build())) > \
+            program_length(isa.assemble(warm_builder.build())) * 3
 
     def test_service_work_noop_on_idle_receipt(self):
         from repro.db.engine import WorkReceipt
