@@ -4,9 +4,9 @@ Assembly lowers an IR :class:`~repro.sim.isa.ir.Program` into an
 :class:`AssembledProgram`: every block becomes segments of
 :class:`StaticInstr` lists and :class:`UnrolledRun` records with
 concrete program counters, byte sizes, and register operands wired into
-dependence chains.  The per-ISA subclasses
-only provide the lowering tables (expansion factors, instruction sizes,
-stack-path multipliers); the structural work is shared here.
+dependence chains.  The per-ISA subclasses only provide the lowering
+tables (expansion factors, instruction sizes, stack-path multipliers);
+the structural work is shared here.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Sampled O3 timing pinned to literal values.
 
-The tier-2 vs tier-1 equivalence tests run both tiers through the same
-sampled loop, so they cannot see a change to that loop's timing.  These
-goldens can: each case is one sampled O3 run on a fresh system, pinned
-by its ``RunResult`` and a digest of its full stat dump.
+Each case is one sampled O3 run on a fresh system, pinned by its
+``RunResult`` and a digest of its full stat dump, so any change to the
+sampled loop's timing shows here.
 
 The geometries cover fast-forward (``fast`` and ``balanced`` at
 ``min_insts=0``), zero slack (``accurate``), no jitter, no warm-up,
