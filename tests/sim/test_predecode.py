@@ -3,10 +3,9 @@ dumps, memory-call streams and trace event logs, across ISAs, CPU models,
 sampling, the vector lane, seeds, program shapes, I-cache line sizes and
 call depths.
 
-Every golden was captured from the original per-instruction trace
-walker, which walked the program one dynamic instruction at a time and
-which the predecode replay matched bit for bit before the walker was
-retired.  A hypothesis property checks what needs no oracle.
+Every golden was captured from the per-instruction trace walker that
+was the reference replay until it was retired; predecode replay matched
+it bit for bit.  A hypothesis property checks what needs no oracle.
 """
 
 import hashlib
