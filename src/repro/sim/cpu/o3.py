@@ -38,7 +38,7 @@ from repro.sim.cpu.bpred import make_predictor
 from repro.sim.isa import predecode
 from repro.sim.isa.base import NUM_ARCH_REGS, InstrClass
 from repro.sim.mem.hierarchy import CoreMemSystem
-from repro.sim.sampling import DETAIL, FAST_FORWARD, WARMUP
+from repro.sim.sampling import FAST_FORWARD, WARMUP
 from repro.sim.statistics import StatGroup
 
 #: Traced runs sample the pipeline counters once per this many committed

@@ -17,7 +17,7 @@ instruction-cache locality behaves as in real code.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Memory layout

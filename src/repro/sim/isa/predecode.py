@@ -11,7 +11,8 @@ into flat tuples, and replays those:
 * ``atomic_run``  — timed in-order replay for ``AtomicCpu.run_program``:
   one step per repeat instruction or fetch point, and one step per
   unrolled segment (an I-cache line split for compute and branch
-  runs; memory runs replay straight from the segment's sizes),
+  runs; a memory run is one ``CoreMemSystem.data_run`` call over the
+  segment's sizes),
 * ``warm_run``    — untimed functional warming for ``BaseCpu.warm_program``,
 * ``o3_stream``   — resolved instruction *runs* (one tuple per repeat
   instruction, loop/call edge or unrolled segment) consumed by the O3
@@ -170,10 +171,12 @@ def program_length(assembled) -> int:
 #                                        branch run first draws its
 #                                        ``draws`` outcomes
 #   (7, write, pc, sizes, region, pattern)
-#                                        memory run: per instance, ifetch
-#                                        on line change, then one access;
-#                                        one pattern.offsets() call gives
-#                                        the run's addresses
+#                                        memory run: one mem.data_run()
+#                                        call replays it (per instance,
+#                                        ifetch on line change, then one
+#                                        access, DTLB and L1D hits taken
+#                                        inline); one pattern.offsets()
+#                                        call gives the run's addresses
 #
 # Plain cycles accumulate across consecutive non-memory, non-drawing
 # repeat instructions and flush before any step that observes the cycle
@@ -304,6 +307,7 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
     line_shift = mem._line_shift
     ifetch = mem.ifetch
     data_access = mem.data_access
+    data_run = mem.data_run
     blocks = _cache_for(assembled, ("atomic", line_shift))
     routines = assembled.routines
     class_counts = [0] * _NUM_CLASSES
@@ -353,21 +357,12 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                                 current_line = line
                             cycles += n
                     elif tag == 7:
-                        write = step[1]
-                        pc = step[2]
                         sizes = step[3]
                         region = step[4]
-                        base = region.base
-                        for size, offset in zip(sizes, step[5].offsets(
-                                region, len(sizes), rng)):
-                            line = pc >> line_shift
-                            if line != current_line:
-                                cycles += ifetch(pc, cycles)
-                                current_line = line
-                            cycles += 1
-                            cycles += data_access(base + offset, write,
-                                                  cycles, pc)
-                            pc += size
+                        cycles, current_line = data_run(
+                            step[2], sizes, region.base,
+                            step[5].offsets(region, len(sizes), rng),
+                            step[1], cycles, current_line)
                     elif tag == 2:
                         n = step[1]
                         for _ in range(n):

@@ -149,6 +149,8 @@ class Cache:
         self.accesses += 1
         profiler = self.profiler
         if line in ways:
+            # CoreMemSystem.data_run repeats this hit update inline for
+            # L1D hits (with Tlb.translate's refresh); keep them in step.
             self.hits += 1
             if profiler is not None:
                 profiler.on_hit(line)

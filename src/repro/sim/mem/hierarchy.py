@@ -2,25 +2,31 @@
 
 Mirrors Fig 4.3 of the thesis: each core owns split L1 caches and a
 private L2; both cores share the DRAM controller.  The hierarchy exposes
-two operations to the CPU models:
+three timed operations to the CPU models:
 
 * :meth:`CoreMemSystem.ifetch` — fetch one instruction cache line,
 * :meth:`CoreMemSystem.data_access` — one load/store,
 
 each returning the access latency in cycles while updating cache state and
-statistics.  A third, :meth:`warm_touch`, updates state without timing —
-used for the functional fast-forward between the cold (1st) and warm
-(10th) requests of the experiment protocol.
+statistics, and
+
+* :meth:`CoreMemSystem.data_run` — one unrolled run of loads or stores
+  with its instruction fetches, as the Atomic model replays it: DTLB and
+  L1D hits are taken inline, everything else goes through the two above.
+
+A fourth, :meth:`warm_touch`, updates state without timing — used for
+the functional fast-forward between the cold (1st) and warm (10th)
+requests of the experiment protocol.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.sim.mem.cache import Cache, _CounterView
+from repro.sim.mem.cache import Cache, _CounterView, _is_pow2
 from repro.sim.mem.dram import DramModel
 from repro.sim.mem.prefetcher import make_prefetcher
-from repro.sim.mem.tlb import Tlb
+from repro.sim.mem.tlb import PAGE_SHIFT, Tlb
 from repro.sim.statistics import StatGroup
 
 
@@ -72,19 +78,25 @@ class MemoryHierarchyConfig:
         """
         if space_scale <= 0:
             raise ValueError("space_scale must be positive")
+        line = self.line_size
 
-        def shrink(size: int, floor: int) -> int:
-            scaled_size = max(floor, size // space_scale)
-            # Round down to a power-of-two multiple of assoc*line handled
-            # by the caller; here just keep byte counts sane.
+        def shrink(name: str, size: int, assoc: int, min_sets: int) -> int:
+            scaled_size = max(min_sets * assoc * line, size // space_scale)
+            sets, rest = divmod(scaled_size, assoc * line)
+            if rest or not _is_pow2(sets):
+                raise ValueError(
+                    "space_scale %d shrinks cache %s from %d to %d bytes, "
+                    "which is not a power-of-two number of %d-way sets of "
+                    "%d-byte lines" % (space_scale, name, size, scaled_size,
+                                       assoc, line))
             return scaled_size
 
         return MemoryHierarchyConfig(
-            l1i_size=shrink(self.l1i_size, self.l1i_assoc * self.line_size),
+            l1i_size=shrink("l1i", self.l1i_size, self.l1i_assoc, 1),
             l1i_assoc=self.l1i_assoc,
-            l1d_size=shrink(self.l1d_size, self.l1d_assoc * self.line_size),
+            l1d_size=shrink("l1d", self.l1d_size, self.l1d_assoc, 1),
             l1d_assoc=self.l1d_assoc,
-            l2_size=shrink(self.l2_size, self.l2_assoc * self.line_size * 2),
+            l2_size=shrink("l2", self.l2_size, self.l2_assoc, 2),
             l2_assoc=self.l2_assoc,
             line_size=self.line_size,
             l1_latency=self.l1_latency,
@@ -129,7 +141,6 @@ class CoreMemSystem:
         # worth hoisting out of them.
         self._l1_latency = cfg.l1_latency
         self._l2_latency = cfg.l2_latency
-        self._now = 0
         self._iprefetcher = make_prefetcher(cfg.prefetch_i_kind,
                                             cfg.prefetch_i_degree)
         self._dprefetcher = make_prefetcher(cfg.prefetch_d_kind,
@@ -176,6 +187,68 @@ class CoreMemSystem:
         if l2.access_line(line, write):
             return latency
         return latency + self.dram.access(addr, now_cycle)
+
+    def data_run(self, pc: int, sizes: Sequence[int], base: int,
+                 offsets: Iterable[int], write: bool, cycles: int,
+                 current_line: int) -> Tuple[int, int]:
+        """Replay one unrolled run of loads or stores; returns
+        ``(cycles, current_line)``.
+
+        The run's instances start at ``pc`` and are ``sizes`` bytes long;
+        the i-th accesses ``base`` plus the i-th of ``offsets``.  Each
+        instance fetches its I-cache line when it differs from
+        ``current_line``, takes one cycle, then makes its access at that
+        cycle and PC: the same calls, cycles and state as one
+        :meth:`ifetch` per line change and one :meth:`data_access` per
+        instance would give.
+
+        An access whose page is in the DTLB and whose line is in its L1D
+        set is taken inline; this and :meth:`Tlb.translate
+        <repro.sim.mem.tlb.Tlb.translate>` / :meth:`Cache.access_line
+        <repro.sim.mem.cache.Cache.access_line>` are the only code that
+        updates a TLB or cache set on a hit, and must agree with them.
+        The inline hits' counters are added once, at the end.  While an
+        L1D profiler is attached, every access goes through
+        :meth:`data_access`, because that profiler observes hits.
+        """
+        line_shift = self._line_shift
+        ifetch = self.ifetch
+        data_access = self.data_access
+        dtlb = self.dtlb
+        l1d = self.l1d
+        tlb = dtlb._tlb
+        sets = l1d._sets
+        set_mask = l1d._set_mask
+        lru = l1d._lru
+        l1_latency = self._l1_latency
+        inline = l1d.profiler is None
+        hits = 0
+        for size, offset in zip(sizes, offsets):
+            line = pc >> line_shift
+            if line != current_line:
+                cycles += ifetch(pc, cycles)
+                current_line = line
+            cycles += 1
+            addr = base + offset
+            page = addr >> PAGE_SHIFT
+            data_line = addr >> line_shift
+            ways = sets[data_line & set_mask]
+            if inline and page in tlb and data_line in ways:
+                del tlb[page]
+                tlb[page] = None
+                if lru:
+                    ways[data_line] = ways.pop(data_line) or write
+                elif write:
+                    ways[data_line] = True
+                cycles += l1_latency
+                hits += 1
+            else:
+                cycles += data_access(addr, write, cycles, pc)
+            pc += size
+        dtlb.accesses += hits
+        l1d.accesses += hits
+        l1d.hits += hits
+        return cycles, current_line
 
     # -- functional (untimed) path ---------------------------------------------
 

@@ -15,7 +15,7 @@ hierarchy installs them without charging demand latency or stats.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 PREFETCHER_KINDS = ("none", "nextline", "stride")
 
@@ -37,9 +37,6 @@ class Prefetcher:
 
     def flush(self) -> None:
         pass
-
-    def reset(self) -> None:  # historical alias for flush
-        self.flush()
 
     def state_dict(self) -> Dict:
         return {"kind": self.kind}

@@ -61,6 +61,8 @@ class Tlb:
         tlb = self._tlb
         self.accesses += 1
         if page in tlb:
+            # CoreMemSystem.data_run repeats this refresh inline for DTLB
+            # hits (with Cache.access_line's hit update); keep them in step.
             del tlb[page]
             tlb[page] = None  # refresh LRU position
             return 0

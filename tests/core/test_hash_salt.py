@@ -6,6 +6,8 @@ runs of the same spec.  The lint bans the builtin outside ``__hash__``
 methods (where it only keys in-process dicts and sets); the subprocess
 test runs one Cassandra Hotel point and one paymentservice reply under
 two salts and requires byte-identical output.
+
+A second AST lint keeps the simulator's modules free of unused imports.
 """
 
 import ast
@@ -16,6 +18,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
+SIM_ROOT = os.path.join(SRC_ROOT, "sim")
 
 
 def builtin_hash_calls(tree):
@@ -63,6 +66,75 @@ class TestNoSaltedHash:
             "        return hash(self.name) % 8\n"
             "ids = [hash(word) for word in 'ab']\n")
         assert builtin_hash_calls(tree) == [(5, "bucket"), (6, None)]
+
+
+def unused_imports(tree):
+    """``(line, name)`` of every name a module imports and never uses.
+
+    A name counts as used when it is read anywhere in the module, listed
+    in ``__all__``, or named inside a string annotation.
+    """
+    imported = {}
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(element.value for element in ast.walk(node.value)
+                        if isinstance(element, ast.Constant))
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used.update(name.id for name in ast.walk(
+                    ast.parse(part.value, mode="eval"))
+                    if isinstance(name, ast.Name))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+class TestNoUnusedImports:
+    def test_sim_modules_use_every_import(self):
+        offenders = []
+        for directory, _dirs, files in os.walk(SIM_ROOT):
+            for filename in sorted(files):
+                if not filename.endswith(".py") or filename == "__init__.py":
+                    continue
+                path = os.path.join(directory, filename)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=path)
+                offenders.extend(
+                    "%s:%d %s" % (os.path.relpath(path, REPO_ROOT), line, name)
+                    for line, name in unused_imports(tree))
+        assert not offenders, "unused imports: %s" % offenders
+
+    def test_lint_sees_unused_and_spares_used(self):
+        tree = ast.parse(
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import random as rnd\n"
+            "from typing import Dict, List, Optional, Tuple\n"
+            "from x import Exported, Quoted, Unused\n"
+            "__all__ = ['Exported']\n"
+            "def f(a: 'Optional[Quoted]') -> Dict:\n"
+            "    values: List[int] = []\n"
+            "    return os.path.join(values)\n")
+        assert unused_imports(tree) == [(3, "rnd"), (4, "Tuple"),
+                                        (5, "Unused")]
 
 
 SALT_PROBE = """

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.isa import ir
 from repro.sim.mem.cache import Cache
+from repro.sim.mem.dram import DramModel
+from repro.sim.mem.hierarchy import CoreMemSystem, MemoryHierarchyConfig
+from repro.sim.mem.tlb import PAGE_SIZE
 from repro.sim.statistics import StatGroup
 
 
@@ -307,3 +311,100 @@ def test_property_matches_reference_model(policy, assoc, ops):
         state = cache.state_dict()
         assert {"sets": state["sets"], "dirty": state["dirty"]} \
             == reference.state()
+
+
+def reference_run(mem, pc, sizes, base, offsets, write, cycles,
+                  current_line):
+    """The per-access loop ``CoreMemSystem.data_run`` replaces: fetch on
+    an I-line change, one cycle, one ``data_access`` per instance."""
+    for size, offset in zip(sizes, offsets):
+        line = pc >> mem._line_shift
+        if line != current_line:
+            cycles += mem.ifetch(pc, cycles)
+            current_line = line
+        cycles += 1
+        cycles += mem.data_access(base + offset, write, cycles, pc)
+        pc += size
+    return cycles, current_line
+
+
+_PATTERNS = st.one_of(
+    st.builds(ir.StridePattern,
+              stride=st.integers(-300, 300).filter(bool),
+              start=st.integers(-5000, 30000)),
+    st.builds(ir.RandomPattern, align=st.sampled_from([1, 8, 64])),
+    st.builds(ir.HotColdPattern, hot_fraction=st.sampled_from([0.05, 0.5]),
+              hot_probability=st.sampled_from([0.5, 0.95])),
+)
+
+#: One step of the run-method property: mostly runs, with the
+#: occasional flush or checkpoint round trip between them.
+_RUN_STEPS = st.one_of(
+    st.tuples(st.just("run"),
+              st.integers(0, 1 << 16),                      # first PC
+              st.lists(st.integers(1, 15), min_size=1, max_size=300),
+              st.integers(0, 2),                            # region index
+              _PATTERNS,
+              st.booleans()),                               # write
+    st.tuples(st.sampled_from(["flush", "checkpoint"])),
+)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+@settings(max_examples=60, deadline=None)
+@given(
+    l1d_assoc=st.sampled_from([1, 2, 4, 8]),
+    l1d_sets=st.sampled_from([1, 2, 4]),
+    prefetch=st.sampled_from([("nextline", 2), ("stride", 2), ("none", 0)]),
+    regions=st.lists(st.tuples(st.integers(0, 1 << 10),     # base page
+                               st.integers(0, PAGE_SIZE - 1),
+                               st.integers(1, 6 * PAGE_SIZE)),
+                     min_size=3, max_size=3),
+    steps=st.lists(_RUN_STEPS, min_size=1, max_size=6),
+    seed=st.integers(0, 1 << 16),
+)
+def test_property_data_run_matches_per_access_loop(
+        policy, l1d_assoc, l1d_sets, prefetch, regions, steps, seed):
+    # A small L1D, a 2-set L2 and an 8-entry DTLB over regions of up to
+    # six pages: misses, walks, prefetch fills, dirty writebacks and
+    # DRAM accesses all occur within a few hundred accesses.
+    config = MemoryHierarchyConfig(
+        l1i_size=2 * 2 * 64, l1i_assoc=2,
+        l1d_size=l1d_sets * l1d_assoc * 64, l1d_assoc=l1d_assoc,
+        l2_size=2 * 4 * 64, l2_assoc=4, replacement=policy,
+        itlb_entries=8, dtlb_entries=8,
+        prefetch_d_kind=prefetch[0], prefetch_d_degree=prefetch[1])
+    regions = [ir.Region("r%d" % index, page * PAGE_SIZE + offset, size)
+               for index, (page, offset, size) in enumerate(regions)]
+
+    def build():
+        stats = StatGroup("sys")
+        return CoreMemSystem(1, config, DramModel(stats_parent=stats),
+                             stats), stats
+
+    (fast, fast_stats), (slow, slow_stats) = build(), build()
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    fast_at = slow_at = (0, -1)
+    for step in steps:
+        if step[0] == "flush":
+            fast.flush_all()
+            slow.flush_all()
+        elif step[0] == "checkpoint":
+            fast_state, slow_state = fast.state_dict(), slow.state_dict()
+            (fast, fast_stats), (slow, slow_stats) = build(), build()
+            fast.load_state(fast_state)
+            slow.load_state(slow_state)
+        else:
+            _, pc, sizes, index, pattern, write = step
+            region = regions[index]
+            fast_at = fast.data_run(
+                pc, sizes, region.base,
+                pattern.offsets(region, len(sizes), fast_rng), write,
+                *fast_at)
+            slow_at = reference_run(
+                slow, pc, sizes, region.base,
+                pattern.offsets(region, len(sizes), slow_rng), write,
+                *slow_at)
+        assert fast_at == slow_at
+        assert fast_stats.dump() == slow_stats.dump()
+        assert fast.state_dict() == slow.state_dict()

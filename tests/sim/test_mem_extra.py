@@ -147,6 +147,33 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             MemoryHierarchyConfig().scaled(0)
 
+    def test_scaled_names_the_scale_a_cache_cannot_take(self):
+        # 32 KB / 24 is 1365 bytes: no whole number of 8-way 64-byte sets.
+        with pytest.raises(ValueError,
+                           match=r"space_scale 24 shrinks cache l1i .* 1365"):
+            MemoryHierarchyConfig().scaled(24)
+
+    def test_scaled_builds_every_scale_whose_caches_fit(self):
+        """Powers of two, and scales big enough that every cache sits on
+        its floor or on a power-of-two set count, build with each size
+        divided by the scale (at least one set, two for the L2); every
+        other scale is refused before a cache is built."""
+        full = MemoryHierarchyConfig()
+        built = 0
+        for scale in range(1, 5000):
+            try:
+                config = full.scaled(scale)
+            except ValueError as error:
+                assert ("space_scale %d " % scale) in str(error)
+                continue
+            built += 1
+            assert (config.l1i_size, config.l1d_size, config.l2_size) == (
+                max(512, 32768 // scale), max(512, 32768 // scale),
+                max(512, 524288 // scale))
+            core = CoreMemSystem(1, config, DramModel(), StatGroup("sys"))
+            assert core.l2.size_bytes == config.l2_size
+        assert built == 3987
+
 
 class TestPrefetchers:
     def test_iprefetch_covers_sequential_code(self):

@@ -186,8 +186,13 @@ def assert_replay(key, program, isa, model, seed=0, sampling=None,
 def memory_calls(program, isa, seed=0, line_size=64):
     """Every ``ifetch`` and ``data_access`` of one Atomic replay, with
     its arguments (PC, address, write flag and cycle): their number and
-    digest."""
+    digest.
+
+    Profilers are attached so that ``CoreMemSystem.data_run`` takes its
+    per-access path: without one it takes DTLB and L1D hits inline,
+    and those never call ``data_access``."""
     system = system_for(isa, line_size)
+    system.attach_profilers(1)
     mem = system.cores[1]
     ifetch = mem.ifetch
     data_access = mem.data_access
@@ -692,6 +697,26 @@ class TestAtomicSteps:
         assert shared
         assert_golden(("edges", isa, line_size), memory_calls, program, isa,
                       5, line_size)
+
+    @pytest.mark.parametrize("shape", [straightline, edge_runs,
+                                       unrolled_shapes],
+                             ids=["straightline", "edges", "unrolled"])
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_profilers_see_every_l1d_access(self, isa, shape):
+        """Attached profilers send every Atomic access down the per-access
+        path: the RunResult and stat dump equal an unprofiled replay's,
+        and the L1D profiler counts every L1D hit and miss."""
+        program = shape()
+        system = system_for(isa)
+        profilers = system.attach_profilers(1)
+        run = system.run(1, program, model="atomic", seed=0)
+        assert (run.cycles, run.instructions, run.loads, run.stores,
+                run.branches, stat_digest(system.dump_stats())) \
+            == replay(program, isa, "atomic", 0)
+        l1d = system.cores[1].l1d
+        assert l1d.hits and l1d.misses
+        assert (profilers["l1d"].demand_hits,
+                profilers["l1d"].demand_misses) == (l1d.hits, l1d.misses)
 
 
 class TestCallDepth:

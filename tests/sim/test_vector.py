@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.isa import get_isa, ir
-from repro.sim.isa.base import InstrClass
 from repro.sim.isa.predecode import instructions
 from repro.sim.isa.report import report
 from repro.sim.isa.vector import VectorConfig, elements_per_instr, strip_plan
