@@ -32,6 +32,7 @@ from repro.core.dse import DesignSpace
 from repro.core.harness import ExperimentHarness
 from repro.core.results import cold_warm_table, isa_comparison_table
 from repro.core.scale import SimScale
+from repro.sim.mem.hierarchy import MemoryHierarchyConfig
 from repro.workloads.catalog import (
     HOTEL_FUNCTIONS,
     ONLINESHOP_FUNCTIONS,
@@ -83,10 +84,32 @@ def _scale_from(args) -> SimScale:
     return SimScale(time=args.time_scale, space=args.space_scale)
 
 
+def _scale_divisor(value: str) -> int:
+    try:
+        scale = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % value) from None
+    if scale < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % scale)
+    return scale
+
+
+def _space_scale(value: str) -> int:
+    """A capacity divisor that every platform's caches can take: they
+    all use the default :class:`MemoryHierarchyConfig` geometry."""
+    scale = _scale_divisor(value)
+    try:
+        MemoryHierarchyConfig().scaled(scale)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return scale
+
+
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--time-scale", type=int, default=512,
+    parser.add_argument("--time-scale", type=_scale_divisor, default=512,
                         help="dynamic-work divisor (default 512)")
-    parser.add_argument("--space-scale", type=int, default=16,
+    parser.add_argument("--space-scale", type=_space_scale, default=16,
                         help="capacity divisor (default 16)")
 
 

@@ -10,9 +10,9 @@ into flat tuples, and replays those:
 
 * ``atomic_run``  — timed in-order replay for ``AtomicCpu.run_program``:
   one step per repeat instruction or fetch point, and one step per
-  unrolled segment (an I-cache line split for compute and branch
-  runs; a memory run is one ``CoreMemSystem.data_run`` call over the
-  segment's sizes),
+  unrolled segment, replayed by one ``CoreMemSystem`` call
+  (``fetch_run`` over a compute or branch run's I-cache line split,
+  ``data_run`` over a memory run's sizes),
 * ``warm_run``    — untimed functional warming for ``BaseCpu.warm_program``,
 * ``o3_stream``   — resolved instruction *runs* (one tuple per repeat
   instruction, loop/call edge or unrolled segment) consumed by the O3
@@ -165,17 +165,20 @@ def program_length(assembled) -> int:
 #   (5, write, pc, region, pattern, n)   memory run, rng-drawn addresses
 # Each UnrolledRun is one step that holds nothing per instance but the
 # run's own ``sizes``:
-#   (6, pcs, ns, draws)                  compute / branch run: per I-cache
-#                                        line, ifetch on line change at
-#                                        pcs[i], then ns[i] cycles; a p<1
+#   (6, pcs, ns, draws)                  compute / branch run: a p<1
 #                                        branch run first draws its
-#                                        ``draws`` outcomes
+#                                        ``draws`` outcomes, then one
+#                                        mem.fetch_run() call replays it
+#                                        (per I-cache line, a fetch on
+#                                        line change at pcs[i], then
+#                                        ns[i] cycles; L1I accesses in
+#                                        its frame)
 #   (7, write, pc, sizes, region, pattern)
 #                                        memory run: one mem.data_run()
 #                                        call replays it (per instance,
 #                                        ifetch on line change, then one
-#                                        access, DTLB and L1D hits taken
-#                                        inline); one pattern.offsets()
+#                                        access; L1D accesses in its
+#                                        frame); one pattern.offsets()
 #                                        call gives the run's addresses
 #
 # Plain cycles accumulate across consecutive non-memory, non-drawing
@@ -307,6 +310,7 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
     line_shift = mem._line_shift
     ifetch = mem.ifetch
     data_access = mem.data_access
+    fetch_run = mem.fetch_run
     data_run = mem.data_run
     blocks = _cache_for(assembled, ("atomic", line_shift))
     routines = assembled.routines
@@ -350,12 +354,8 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                     elif tag == 6:
                         for _ in range(step[3]):
                             rng_random()
-                        for pc, n in zip(step[1], step[2]):
-                            line = pc >> line_shift
-                            if line != current_line:
-                                cycles += ifetch(pc, cycles)
-                                current_line = line
-                            cycles += n
+                        cycles, current_line = fetch_run(
+                            step[1], step[2], cycles, current_line)
                     elif tag == 7:
                         sizes = step[3]
                         region = step[4]

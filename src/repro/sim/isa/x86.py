@@ -18,9 +18,27 @@ lowering reflects two measured properties from the thesis's evaluation:
 from __future__ import annotations
 
 import random
+from typing import Tuple
 
 from repro.sim.isa import ir
 from repro.sim.isa.base import BLOCK_APP, BLOCK_RTPATH, BLOCK_STACK, ISA
+
+
+def _draws_by_top_byte(by_pick: bytes, total: int) -> Tuple[bytes, bytes]:
+    """``randrange(total)`` as a function of one 32-bit output's top byte.
+
+    ``randrange(total)`` takes the top ``total.bit_length()`` bits of one
+    32-bit Mersenne output and draws again while they reach ``total``.
+    Returns the ``bytes.translate`` table that sends a top byte to
+    ``by_pick`` at its draw, and the top bytes that are drawn again.
+    """
+    bits = total.bit_length()
+    if bits > 8:
+        raise ValueError("randrange(%d) takes %d bits of an output, more "
+                         "than its top byte" % (total, bits))
+    shift = 8 - bits
+    return (bytes(by_pick[top >> shift] for top in range(256)),
+            bytes(range(total << shift, 256)))
 
 
 class X86ISA(ISA):
@@ -77,12 +95,22 @@ class X86ISA(ISA):
     #: ``_SIZES[i]``; the padding past ``_total`` is never indexed.
     _BY_PICK = b"".join(bytes([size]) * weight
                         for size, weight in zip(_SIZES, _WEIGHTS)).ljust(256)
+    _BY_TOP_BYTE, _REDRAWN = _draws_by_top_byte(_BY_PICK, _total)
 
     def instr_size(self, rng: random.Random) -> int:
         return self._BY_PICK[rng.randrange(self._total)]
 
     def instr_sizes(self, rng: random.Random, count: int):
-        randrange = rng.randrange
-        total = self._total
-        return bytes([randrange(total) for _ in range(count)]).translate(
-            self._BY_PICK)
+        # One getrandbits call per round yields the round's 32-bit
+        # outputs in draw order; their top bytes map to sizes, and the
+        # redrawn ones drop out.  A round draws exactly the sizes still
+        # missing, so the rng ends where ``count`` randrange calls leave it.
+        getrandbits = rng.getrandbits
+        sizes = bytearray()
+        missing = count
+        while missing:
+            tops = getrandbits(32 * missing).to_bytes(4 * missing,
+                                                      "little")[3::4]
+            sizes += tops.translate(self._BY_TOP_BYTE, self._REDRAWN)
+            missing = count - len(sizes)
+        return bytes(sizes)

@@ -149,8 +149,11 @@ class Cache:
         self.accesses += 1
         profiler = self.profiler
         if line in ways:
-            # CoreMemSystem.data_run repeats this hit update inline for
-            # L1D hits (with Tlb.translate's refresh); keep them in step.
+            # CoreMemSystem.data_run and fetch_run repeat this method's
+            # hit update and, under lru and fifo, its miss in their own
+            # frames.  They, this method and Tlb.translate are the only
+            # code that updates a set or TLB on a demand access; keep the
+            # four in step.
             self.hits += 1
             if profiler is not None:
                 profiler.on_hit(line)

@@ -2,19 +2,22 @@
 
 Mirrors Fig 4.3 of the thesis: each core owns split L1 caches and a
 private L2; both cores share the DRAM controller.  The hierarchy exposes
-three timed operations to the CPU models:
+four timed operations to the CPU models:
 
 * :meth:`CoreMemSystem.ifetch` — fetch one instruction cache line,
 * :meth:`CoreMemSystem.data_access` — one load/store,
 
 each returning the access latency in cycles while updating cache state and
-statistics, and
+statistics, and two that replay an unrolled segment as the Atomic model
+does, in one frame, with the same calls, cycles and state as the two
+above would give:
 
-* :meth:`CoreMemSystem.data_run` — one unrolled run of loads or stores
-  with its instruction fetches, as the Atomic model replays it: DTLB and
-  L1D hits are taken inline, everything else goes through the two above.
+* :meth:`CoreMemSystem.fetch_run` — a compute or branch run's fetches,
+  one per I-cache line change,
+* :meth:`CoreMemSystem.data_run` — a run of loads or stores with its
+  instruction fetches.
 
-A fourth, :meth:`warm_touch`, updates state without timing — used for
+A fifth, :meth:`warm_touch`, updates state without timing — used for
 the functional fast-forward between the cold (1st) and warm (10th)
 requests of the experiment protocol.
 """
@@ -158,10 +161,12 @@ class CoreMemSystem:
         if self.l1i.access_line(line):
             return latency
         l2 = self.l2
-        for fill in self._iprefetcher.on_miss(addr, line):
-            self.l1i.fill_line(fill)
-            l2.fill_line(fill)
-            self.prefetch_fills += 1
+        prefetcher = self._iprefetcher
+        if prefetcher.degree:
+            for fill in prefetcher.on_miss(addr, line):
+                self.l1i.fill_line(fill)
+                l2.fill_line(fill)
+                self.prefetch_fills += 1
         latency += self._l2_latency
         if l2.access_line(line):
             return latency
@@ -188,6 +193,97 @@ class CoreMemSystem:
             return latency
         return latency + self.dram.access(addr, now_cycle)
 
+    # The two run methods below take an L1 access in their own frame:
+    # the TLB refresh inline (Tlb.translate on a TLB miss), then the L1
+    # set's hit update or, under lru and fifo, its miss (count, evict the
+    # set's first line, insert); prefetch fills, the L2 and DRAM stay
+    # calls, made in ifetch's and data_access's order.  They,
+    # Tlb.translate and Cache.access_line are the only code that updates
+    # a TLB or cache set on a demand access, and must agree.  Counters
+    # are added once per run.  A random-policy miss goes through
+    # ifetch/data_access, so each set's rng is drawn in one place, and so
+    # does every access of a cache with a profiler attached, because the
+    # profiler observes hits.
+
+    def fetch_run(self, pcs: Sequence[int], ns: Sequence[int], cycles: int,
+                  current_line: int) -> Tuple[int, int]:
+        """Replay one unrolled compute or branch run; returns
+        ``(cycles, current_line)``.
+
+        ``pcs[i]`` is the PC of the first instance that starts in the
+        run's i-th I-cache line and ``ns[i]`` how many instances start
+        there.  Each line fetches when it differs from ``current_line``,
+        then takes ``ns[i]`` cycles: the same calls, cycles and state as
+        one :meth:`ifetch` per line change would give.
+        """
+        line_shift = self._line_shift
+        ifetch = self.ifetch
+        itlb = self.itlb
+        translate = itlb.translate
+        tlb = itlb._tlb
+        l1i = self.l1i
+        sets = l1i._sets
+        set_mask = l1i._set_mask
+        assoc = l1i.assoc
+        lru = l1i._lru
+        l2 = self.l2
+        fill_l1i = l1i.fill_line
+        fill_l2 = l2.fill_line
+        access_l2 = l2.access_line
+        dram_access = self.dram.access
+        prefetcher = self._iprefetcher
+        prefetching = prefetcher.degree
+        on_miss = prefetcher.on_miss
+        l1_latency = self._l1_latency
+        l2_latency = self._l2_latency
+        inline = l1i.profiler is None
+        misses_inline = inline and l1i._rngs is None
+        tlb_hits = hits = misses = writebacks = fills = 0
+        for pc, n in zip(pcs, ns):
+            line = pc >> line_shift
+            if line != current_line:
+                current_line = line
+                ways = sets[line & set_mask]
+                hit = line in ways
+                if misses_inline or (inline and hit):
+                    page = pc >> PAGE_SHIFT
+                    if page in tlb:
+                        del tlb[page]
+                        tlb[page] = None
+                        tlb_hits += 1
+                        latency = l1_latency
+                    else:
+                        latency = l1_latency + translate(pc)
+                    if hit:
+                        if lru:
+                            ways[line] = ways.pop(line)
+                        hits += 1
+                    else:
+                        misses += 1
+                        if len(ways) >= assoc and ways.pop(next(iter(ways))):
+                            writebacks += 1
+                        ways[line] = False
+                        if prefetching:
+                            proposed = on_miss(pc, line)
+                            for fill in proposed:
+                                fill_l1i(fill)
+                                fill_l2(fill)
+                            fills += len(proposed)
+                        latency += l2_latency
+                        if not access_l2(line):
+                            latency += dram_access(pc, cycles)
+                    cycles += latency
+                else:
+                    cycles += ifetch(pc, cycles)
+            cycles += n
+        itlb.accesses += tlb_hits
+        l1i.accesses += hits + misses
+        l1i.hits += hits
+        l1i.misses += misses
+        l1i.writebacks += writebacks
+        self.prefetch_fills += fills
+        return cycles, current_line
+
     def data_run(self, pc: int, sizes: Sequence[int], base: int,
                  offsets: Iterable[int], write: bool, cycles: int,
                  current_line: int) -> Tuple[int, int]:
@@ -196,33 +292,48 @@ class CoreMemSystem:
 
         The run's instances start at ``pc`` and are ``sizes`` bytes long;
         the i-th accesses ``base`` plus the i-th of ``offsets``.  Each
-        instance fetches its I-cache line when it differs from
-        ``current_line``, takes one cycle, then makes its access at that
-        cycle and PC: the same calls, cycles and state as one
-        :meth:`ifetch` per line change and one :meth:`data_access` per
-        instance would give.
+        instance fetches its I-cache line through :meth:`ifetch` when it
+        differs from ``current_line``, takes one cycle, then makes its
+        access at that cycle and PC: the same calls, cycles and state as
+        one :meth:`ifetch` per line change and one :meth:`data_access`
+        per instance would give.
 
-        An access whose page is in the DTLB and whose line is in its L1D
-        set is taken inline; this and :meth:`Tlb.translate
-        <repro.sim.mem.tlb.Tlb.translate>` / :meth:`Cache.access_line
-        <repro.sim.mem.cache.Cache.access_line>` are the only code that
-        updates a TLB or cache set on a hit, and must agree with them.
-        The inline hits' counters are added once, at the end.  While an
-        L1D profiler is attached, every access goes through
-        :meth:`data_access`, because that profiler observes hits.
+        An access to the line that the run's previous access hit in this
+        frame is a repeat: it adds ``1 + l1_latency`` cycles and counts
+        one DTLB access, one L1D access and one L1D hit, with no lookup.
+        That is exact because only :meth:`ifetch` runs between two
+        accesses, and it touches neither the DTLB nor the L1D: the hit
+        left the page the DTLB's newest entry, and the line its set's
+        newest under lru (in place under fifo and random) with its dirty
+        bit already holding ``write``, so the repeat's refresh and update
+        change nothing.  An L1D miss, or an access sent to
+        :meth:`data_access`, ends the repeat.  A line no wider than a
+        page keeps the page with it; wider lines take every access
+        through :meth:`data_access`.
         """
         line_shift = self._line_shift
         ifetch = self.ifetch
         data_access = self.data_access
         dtlb = self.dtlb
-        l1d = self.l1d
+        translate = dtlb.translate
         tlb = dtlb._tlb
+        l1d = self.l1d
         sets = l1d._sets
         set_mask = l1d._set_mask
+        assoc = l1d.assoc
         lru = l1d._lru
+        l2 = self.l2
+        fill_l1d = l1d.fill_line
+        fill_l2 = l2.fill_line
+        access_l2 = l2.access_line
+        dram_access = self.dram.access
+        on_miss = self._dprefetcher.on_miss
         l1_latency = self._l1_latency
-        inline = l1d.profiler is None
-        hits = 0
+        l2_latency = self._l2_latency
+        inline = l1d.profiler is None and line_shift <= PAGE_SHIFT
+        misses_inline = inline and l1d._rngs is None
+        hit_line = -1
+        repeats = tlb_hits = hits = misses = writebacks = fills = 0
         for size, offset in zip(sizes, offsets):
             line = pc >> line_shift
             if line != current_line:
@@ -230,24 +341,54 @@ class CoreMemSystem:
                 current_line = line
             cycles += 1
             addr = base + offset
-            page = addr >> PAGE_SHIFT
             data_line = addr >> line_shift
-            ways = sets[data_line & set_mask]
-            if inline and page in tlb and data_line in ways:
-                del tlb[page]
-                tlb[page] = None
-                if lru:
-                    ways[data_line] = ways.pop(data_line) or write
-                elif write:
-                    ways[data_line] = True
+            if data_line == hit_line:
                 cycles += l1_latency
-                hits += 1
+                repeats += 1
             else:
-                cycles += data_access(addr, write, cycles, pc)
+                ways = sets[data_line & set_mask]
+                hit = data_line in ways
+                if misses_inline or (inline and hit):
+                    page = addr >> PAGE_SHIFT
+                    if page in tlb:
+                        del tlb[page]
+                        tlb[page] = None
+                        tlb_hits += 1
+                        latency = l1_latency
+                    else:
+                        latency = l1_latency + translate(addr)
+                    if hit:
+                        if lru:
+                            ways[data_line] = ways.pop(data_line) or write
+                        elif write:
+                            ways[data_line] = True
+                        hits += 1
+                        hit_line = data_line
+                    else:
+                        misses += 1
+                        if len(ways) >= assoc and ways.pop(next(iter(ways))):
+                            writebacks += 1
+                        ways[data_line] = write
+                        proposed = on_miss(pc, data_line)
+                        for fill in proposed:
+                            fill_l1d(fill)
+                            fill_l2(fill)
+                        fills += len(proposed)
+                        latency += l2_latency
+                        if not access_l2(data_line, write):
+                            latency += dram_access(addr, cycles)
+                        hit_line = -1
+                    cycles += latency
+                else:
+                    cycles += data_access(addr, write, cycles, pc)
+                    hit_line = -1
             pc += size
-        dtlb.accesses += hits
-        l1d.accesses += hits
-        l1d.hits += hits
+        dtlb.accesses += tlb_hits + repeats
+        l1d.accesses += repeats + hits + misses
+        l1d.hits += repeats + hits
+        l1d.misses += misses
+        l1d.writebacks += writebacks
+        self.prefetch_fills += fills
         return cycles, current_line
 
     # -- functional (untimed) path ---------------------------------------------

@@ -61,8 +61,10 @@ class Tlb:
         tlb = self._tlb
         self.accesses += 1
         if page in tlb:
-            # CoreMemSystem.data_run repeats this refresh inline for DTLB
-            # hits (with Cache.access_line's hit update); keep them in step.
+            # CoreMemSystem.data_run and fetch_run repeat this refresh
+            # inline.  They, this method and Cache.access_line are the
+            # only code that updates a TLB or set on a demand access;
+            # keep the four in step.
             del tlb[page]
             tlb[page] = None  # refresh LRU position
             return 0

@@ -141,21 +141,6 @@ def _encrypt_block_packed(c0: int, c1: int, c2: int, c3: int,
     ]
 
 
-def _encrypt_block(block: List[int], round_keys: List[List[int]]) -> List[int]:
-    """Byte-list block API, kept for callers of the naive interface."""
-    words = _encrypt_block_packed(
-        (block[0] << 24) | (block[1] << 16) | (block[2] << 8) | block[3],
-        (block[4] << 24) | (block[5] << 16) | (block[6] << 8) | block[7],
-        (block[8] << 24) | (block[9] << 16) | (block[10] << 8) | block[11],
-        (block[12] << 24) | (block[13] << 16) | (block[14] << 8) | block[15],
-        _pack_round_keys(round_keys))
-    out = []
-    for word in words:
-        out.extend([word >> 24, (word >> 16) & 0xFF,
-                    (word >> 8) & 0xFF, word & 0xFF])
-    return out
-
-
 def aes128_encrypt(plaintext: bytes, key: bytes) -> bytes:
     """Encrypt with AES-128-ECB over zero-padded input."""
     packed_keys = _pack_round_keys(_expand_key(key))

@@ -141,6 +141,24 @@ class TestCli:
         assert "sensitivity" in out
         assert "best point" in out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--time-scale", "0", "argument --time-scale: must be at least 1, "
+                              "got 0"),
+        ("--time-scale", "x", "argument --time-scale: invalid int value: "
+                              "'x'"),
+        ("--space-scale", "0", "argument --space-scale: must be at least 1, "
+                               "got 0"),
+        ("--space-scale", "24", "argument --space-scale: space_scale 24 "
+                                "shrinks cache l1i from 32768 to 1365 bytes"),
+    ])
+    def test_bad_scale_names_its_flag(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exited:
+            main(["measure", "fibonacci-go", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_dse_bad_axis_spec(self):
         with pytest.raises(SystemExit):
             main(["dse", "fibonacci-go", "--axis", "l2_size"])

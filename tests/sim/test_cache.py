@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.isa import ir
@@ -352,6 +352,13 @@ _RUN_STEPS = st.one_of(
 
 @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
 @settings(max_examples=60, deadline=None)
+# A 72-byte region read at stride 8 in a one-line L1D: eight accesses to
+# line 0, one to line 1, which evicts line 0, then line 0 again.
+@example(l1d_assoc=1, l1d_sets=1, prefetch=("none", 0),
+         regions=[(0, 0, 72)] * 3,
+         steps=[("run", 0, [4] * 20, 0, ir.StridePattern(stride=8, start=0),
+                 False)],
+         seed=0)
 @given(
     l1d_assoc=st.sampled_from([1, 2, 4, 8]),
     l1d_sets=st.sampled_from([1, 2, 4]),
@@ -405,6 +412,78 @@ def test_property_data_run_matches_per_access_loop(
                 slow, pc, sizes, region.base,
                 pattern.offsets(region, len(sizes), slow_rng), write,
                 *slow_at)
+        assert fast_at == slow_at
+        assert fast_stats.dump() == slow_stats.dump()
+        assert fast.state_dict() == slow.state_dict()
+
+
+def reference_fetches(mem, pcs, ns, cycles, current_line):
+    """The per-line loop ``CoreMemSystem.fetch_run`` replaces: fetch on
+    an I-line change, then that line's cycles."""
+    for pc, n in zip(pcs, ns):
+        line = pc >> mem._line_shift
+        if line != current_line:
+            cycles += mem.ifetch(pc, cycles)
+            current_line = line
+        cycles += n
+    return cycles, current_line
+
+
+#: One step of the fetch-run property: a run's ``(pc, n)`` lines, drawn
+#: from eight lines in each of twelve pages so that runs revisit lines
+#: and overflow the 8-entry ITLB, with the occasional flush or
+#: checkpoint round trip between runs.
+_FETCH_STEPS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 11),                  # page
+                       st.integers(0, 7),                   # line in page
+                       st.integers(0, 63),                  # byte in line
+                       st.integers(1, 20)),                 # instances
+             min_size=1, max_size=200),
+    st.sampled_from(["flush", "checkpoint"]),
+)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+@settings(max_examples=60, deadline=None)
+@given(
+    l1i_assoc=st.sampled_from([1, 2, 4, 8]),
+    l1i_sets=st.sampled_from([1, 2, 4]),
+    prefetch=st.sampled_from([("nextline", 2), ("none", 0)]),
+    steps=st.lists(_FETCH_STEPS, min_size=1, max_size=6),
+)
+def test_property_fetch_run_matches_per_line_loop(
+        policy, l1i_assoc, l1i_sets, prefetch, steps):
+    # A small L1I, a 2-set L2 and an 8-entry ITLB: misses, walks,
+    # prefetch fills and DRAM accesses all occur within a few runs.
+    config = MemoryHierarchyConfig(
+        l1i_size=l1i_sets * l1i_assoc * 64, l1i_assoc=l1i_assoc,
+        l1d_size=2 * 2 * 64, l1d_assoc=2,
+        l2_size=2 * 4 * 64, l2_assoc=4, replacement=policy,
+        itlb_entries=8, dtlb_entries=8,
+        prefetch_i_kind=prefetch[0], prefetch_i_degree=prefetch[1])
+
+    def build():
+        stats = StatGroup("sys")
+        return CoreMemSystem(1, config, DramModel(stats_parent=stats),
+                             stats), stats
+
+    (fast, fast_stats), (slow, slow_stats) = build(), build()
+    fast_at = slow_at = (0, -1)
+    for step in steps:
+        if step == "flush":
+            fast.flush_all()
+            slow.flush_all()
+        elif step == "checkpoint":
+            fast_state, slow_state = fast.state_dict(), slow.state_dict()
+            (fast, fast_stats), (slow, slow_stats) = build(), build()
+            fast.load_state(fast_state)
+            slow.load_state(slow_state)
+        else:
+            pcs = [page * PAGE_SIZE + slot * 64 + byte
+                   for page, slot, byte, _ in step]
+            ns = [n for _, _, _, n in step]
+            fast_at = fast.fetch_run(pcs, ns, *fast_at)
+            slow_at = reference_fetches(slow, pcs, ns, *slow_at)
         assert fast_at == slow_at
         assert fast_stats.dump() == slow_stats.dump()
         assert fast.state_dict() == slow.state_dict()

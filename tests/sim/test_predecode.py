@@ -698,14 +698,12 @@ class TestAtomicSteps:
         assert_golden(("edges", isa, line_size), memory_calls, program, isa,
                       5, line_size)
 
-    @pytest.mark.parametrize("shape", [straightline, edge_runs,
-                                       unrolled_shapes],
-                             ids=["straightline", "edges", "unrolled"])
-    @pytest.mark.parametrize("isa", ISAS)
-    def test_profilers_see_every_l1d_access(self, isa, shape):
-        """Attached profilers send every Atomic access down the per-access
-        path: the RunResult and stat dump equal an unprofiled replay's,
-        and the L1D profiler counts every L1D hit and miss."""
+    @staticmethod
+    def profiled_cache(isa, shape, name):
+        """Attached profilers send every Atomic access of cache ``name``
+        down the per-access path: the RunResult and stat dump equal an
+        unprofiled replay's, and that cache's profiler counts every hit
+        and miss.  Returns the cache."""
         program = shape()
         system = system_for(isa)
         profilers = system.attach_profilers(1)
@@ -713,10 +711,27 @@ class TestAtomicSteps:
         assert (run.cycles, run.instructions, run.loads, run.stores,
                 run.branches, stat_digest(system.dump_stats())) \
             == replay(program, isa, "atomic", 0)
-        l1d = system.cores[1].l1d
-        assert l1d.hits and l1d.misses
-        assert (profilers["l1d"].demand_hits,
-                profilers["l1d"].demand_misses) == (l1d.hits, l1d.misses)
+        cache = getattr(system.cores[1], name)
+        assert cache.misses
+        assert (profilers[name].demand_hits,
+                profilers[name].demand_misses) == (cache.hits, cache.misses)
+        return cache
+
+    @pytest.mark.parametrize("shape", [straightline, edge_runs,
+                                       unrolled_shapes],
+                             ids=["straightline", "edges", "unrolled"])
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_profilers_see_every_l1d_access(self, isa, shape):
+        assert self.profiled_cache(isa, shape, "l1d").hits
+
+    @pytest.mark.parametrize("shape", [straightline, edge_runs,
+                                       unrolled_shapes],
+                             ids=["straightline", "edges", "unrolled"])
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_profilers_see_every_l1i_fetch(self, isa, shape):
+        """Only the looped shape revisits an I-cache line."""
+        l1i = self.profiled_cache(isa, shape, "l1i")
+        assert bool(l1i.hits) == (shape is unrolled_shapes)
 
 
 class TestCallDepth:

@@ -27,7 +27,7 @@ class TestPrefetcherModels:
 
     def test_nextline_degree(self):
         prefetcher = NextLinePrefetcher(3)
-        assert prefetcher.on_miss(0x400, 10) == [11, 12, 13]
+        assert list(prefetcher.on_miss(0x400, 10)) == [11, 12, 13]
 
     def test_stride_detects_constant_stride(self):
         prefetcher = StridePrefetcher(degree=2)
