@@ -10,9 +10,8 @@ into flat tuples, and replays those:
 
 * ``atomic_run``  — timed in-order replay for ``AtomicCpu.run_program``:
   one step per repeat instruction or fetch point, and one step per
-  unrolled segment, replayed by one ``CoreMemSystem`` call
-  (``fetch_run`` over a compute or branch run's I-cache line split,
-  ``data_run`` over a memory run's sizes),
+  unrolled segment, replayed by one ``CoreMemSystem.replay`` call over
+  the segment's I-cache line split,
 * ``warm_run``    — untimed functional warming for ``BaseCpu.warm_program``,
 * ``o3_stream``   — resolved instruction *runs* (one tuple per repeat
   instruction, loop/call edge or unrolled segment) consumed by the O3
@@ -164,22 +163,19 @@ def program_length(assembled) -> int:
 #   (4, write, pc, addrs)                memory run, precomputed addresses
 #   (5, write, pc, region, pattern, n)   memory run, rng-drawn addresses
 # Each UnrolledRun is one step that holds nothing per instance but the
-# run's own ``sizes``:
+# run's own ``sizes``, and one mem.replay() call replays it over its
+# I-cache line split ``pcs, ns`` (``_split_lines``): per line, a fetch
+# on line change at pcs[i], then the line's ns[i] instances, with every
+# access below the fetch in replay's frame.
 #   (6, pcs, ns, draws)                  compute / branch run: a p<1
 #                                        branch run first draws its
-#                                        ``draws`` outcomes, then one
-#                                        mem.fetch_run() call replays it
-#                                        (per I-cache line, a fetch on
-#                                        line change at pcs[i], then
-#                                        ns[i] cycles; L1I accesses in
-#                                        its frame)
-#   (7, write, pc, sizes, region, pattern)
-#                                        memory run: one mem.data_run()
-#                                        call replays it (per instance,
-#                                        ifetch on line change, then one
-#                                        access; L1D accesses in its
-#                                        frame); one pattern.offsets()
-#                                        call gives the run's addresses
+#                                        ``draws`` outcomes; each line
+#                                        then takes ns[i] cycles
+#   (7, write, pcs, ns, sizes, region, pattern)
+#                                        memory run: each instance takes
+#                                        one cycle and one access; one
+#                                        pattern.offsets() call gives
+#                                        the run's addresses
 #
 # Plain cycles accumulate across consecutive non-memory, non-drawing
 # repeat instructions and flush before any step that observes the cycle
@@ -227,14 +223,13 @@ def _decode_atomic_run(run, line_shift, append, counts):
     """
     icls = run.icls
     counts[icls] += run.count
-    pc = run.base_pc
     sizes = run.sizes
+    pcs, ns = _split_lines(run.base_pc, sizes, line_shift)
     if icls == _LOAD or icls == _STORE:
-        append((7, icls == _STORE, pc, sizes, run.region, run.pattern))
-        return (pc + sum(sizes) - sizes[-1]) >> line_shift
-    pcs, ns = _split_lines(pc, sizes, line_shift)
-    draws = run.count if icls == _BRANCH and run.probability < 1.0 else 0
-    append((6, pcs, ns, draws))
+        append((7, icls == _STORE, pcs, ns, sizes, run.region, run.pattern))
+    else:
+        draws = run.count if icls == _BRANCH and run.probability < 1.0 else 0
+        append((6, pcs, ns, draws))
     return pcs[-1] >> line_shift
 
 
@@ -310,8 +305,7 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
     line_shift = mem._line_shift
     ifetch = mem.ifetch
     data_access = mem.data_access
-    fetch_run = mem.fetch_run
-    data_run = mem.data_run
+    replay = mem.replay
     blocks = _cache_for(assembled, ("atomic", line_shift))
     routines = assembled.routines
     class_counts = [0] * _NUM_CLASSES
@@ -354,15 +348,16 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                     elif tag == 6:
                         for _ in range(step[3]):
                             rng_random()
-                        cycles, current_line = fetch_run(
+                        cycles, current_line = replay(
                             step[1], step[2], cycles, current_line)
                     elif tag == 7:
-                        sizes = step[3]
-                        region = step[4]
-                        cycles, current_line = data_run(
-                            step[2], sizes, region.base,
-                            step[5].offsets(region, len(sizes), rng),
-                            step[1], cycles, current_line)
+                        sizes = step[4]
+                        region = step[5]
+                        cycles, current_line = replay(
+                            step[2], step[3], cycles, current_line, sizes,
+                            region.base,
+                            step[6].offsets(region, len(sizes), rng),
+                            step[1])
                     elif tag == 2:
                         n = step[1]
                         for _ in range(n):

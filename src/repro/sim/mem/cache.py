@@ -149,11 +149,11 @@ class Cache:
         self.accesses += 1
         profiler = self.profiler
         if line in ways:
-            # CoreMemSystem.data_run and fetch_run repeat this method's
-            # hit update and, under lru and fifo, its miss in their own
-            # frames.  They, this method and Tlb.translate are the only
-            # code that updates a set or TLB on a demand access; keep the
-            # four in step.
+            # CoreMemSystem.replay repeats this method's hit update and,
+            # under lru and fifo, its miss in its own frame, for the L1s
+            # and the L2.  It, this method, fill_line and Tlb.translate
+            # are the only code that updates a set or TLB on a demand
+            # access; keep the four in step.
             self.hits += 1
             if profiler is not None:
                 profiler.on_hit(line)
@@ -181,6 +181,10 @@ class Cache:
 
     def fill_line(self, line: int) -> None:
         """Install a line without counting a demand access (prefetch fill)."""
+        # CoreMemSystem.replay repeats this rule in its own frame for a
+        # data miss's fills under lru and fifo.  It, this method,
+        # access_line and Tlb.translate are the only code that updates a
+        # set or TLB on a demand access; keep the four in step.
         ways = self._sets[line & self._set_mask]
         if line in ways:
             return

@@ -2,28 +2,27 @@
 
 Mirrors Fig 4.3 of the thesis: each core owns split L1 caches and a
 private L2; both cores share the DRAM controller.  The hierarchy exposes
-four timed operations to the CPU models:
+three timed operations to the CPU models:
 
 * :meth:`CoreMemSystem.ifetch` — fetch one instruction cache line,
 * :meth:`CoreMemSystem.data_access` — one load/store,
 
 each returning the access latency in cycles while updating cache state and
-statistics, and two that replay an unrolled segment as the Atomic model
-does, in one frame, with the same calls, cycles and state as the two
-above would give:
+statistics, and :meth:`CoreMemSystem.replay`, which replays one unrolled
+segment as the Atomic model does: it walks the segment's I-cache lines
+once, fetching on each line change, and a memory segment's loads or
+stores with them.  It takes the TLBs, L1s, prefetch fills and L2 in its
+own frame, with the same calls to :class:`~repro.sim.mem.dram.DramModel`,
+cycles and state as :meth:`ifetch` and :meth:`data_access` would give.
 
-* :meth:`CoreMemSystem.fetch_run` — a compute or branch run's fetches,
-  one per I-cache line change,
-* :meth:`CoreMemSystem.data_run` — a run of loads or stores with its
-  instruction fetches.
-
-A fifth, :meth:`warm_touch`, updates state without timing — used for
+A fourth, :meth:`warm_touch`, updates state without timing — used for
 the functional fast-forward between the cold (1st) and warm (10th)
 requests of the experiment protocol.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.sim.mem.cache import Cache, _CounterView, _is_pow2
@@ -193,201 +192,240 @@ class CoreMemSystem:
             return latency
         return latency + self.dram.access(addr, now_cycle)
 
-    # The two run methods below take an L1 access in their own frame:
-    # the TLB refresh inline (Tlb.translate on a TLB miss), then the L1
-    # set's hit update or, under lru and fifo, its miss (count, evict the
-    # set's first line, insert); prefetch fills, the L2 and DRAM stay
-    # calls, made in ifetch's and data_access's order.  They,
-    # Tlb.translate and Cache.access_line are the only code that updates
-    # a TLB or cache set on a demand access, and must agree.  Counters
-    # are added once per run.  A random-policy miss goes through
-    # ifetch/data_access, so each set's rng is drawn in one place, and so
-    # does every access of a cache with a profiler attached, because the
-    # profiler observes hits.
+    # replay() repeats in its own frame, in the same order, what ifetch
+    # and data_access do through calls: the TLB refresh (Tlb.translate on
+    # a TLB miss), the L1 set's hit update or, under lru and fifo, its
+    # miss (count, evict the set's first line, insert), the prefetch
+    # fills (L1 set, then L2 set, by fill_line's rule) and the L2 demand
+    # access (by access_line's rule); DRAM stays a DramModel.access call.
+    # replay, Tlb.translate, Cache.access_line and Cache.fill_line are
+    # the only code that updates a TLB or cache set on a demand access,
+    # and must agree.  Counters are added once per call.  A random-policy
+    # miss goes through ifetch/data_access, so each set's rng is drawn in
+    # one place; so does every access of a profiled L1, because its
+    # profiler observes hits, and every L1 miss while the L2 is profiled.
+    # An I-prefetcher of non-zero degree keeps its fill_line calls.
 
-    def fetch_run(self, pcs: Sequence[int], ns: Sequence[int], cycles: int,
-                  current_line: int) -> Tuple[int, int]:
-        """Replay one unrolled compute or branch run; returns
-        ``(cycles, current_line)``.
+    def replay(self, pcs: Sequence[int], ns: Sequence[int], cycles: int,
+               current_line: int, sizes: Optional[Sequence[int]] = None,
+               base: int = 0, offsets: Iterable[int] = (),
+               write: bool = False) -> Tuple[int, int]:
+        """Replay one unrolled run; returns ``(cycles, current_line)``.
 
         ``pcs[i]`` is the PC of the first instance that starts in the
         run's i-th I-cache line and ``ns[i]`` how many instances start
-        there.  Each line fetches when it differs from ``current_line``,
-        then takes ``ns[i]`` cycles: the same calls, cycles and state as
-        one :meth:`ifetch` per line change would give.
+        there.  Each line fetches when it differs from ``current_line``.
+        A compute or branch run (``sizes`` None) then takes ``ns[i]``
+        cycles.  In a memory run the instances are ``sizes`` bytes long
+        and the j-th accesses ``base`` plus the j-th of ``offsets``;
+        each of a line's ``ns[i]`` instances takes one cycle, then makes
+        its access at that cycle and PC.  That is the same calls, cycles
+        and state as one :meth:`ifetch` per line change and one
+        :meth:`data_access` per instance would give.
+
+        Two shortcuts are exact because between two accesses on one side
+        only the other side runs, and no fetch touches the DTLB or the
+        L1D, nor any data access the ITLB.  An access whose page is the
+        page of the frame's previous access on the same TLB counts one
+        TLB access and skips the refresh: a refresh, a walk or a call
+        left that page the TLB's newest entry.  A data access to the line
+        that the run's previous access hit in the frame is a repeat: it
+        adds ``l1_latency`` cycles and counts one DTLB access, one L1D
+        access and one L1D hit, with no lookup.  The hit left the line
+        its set's newest under lru (in place under fifo and random) with
+        its dirty bit already holding ``write``, so the repeat's update
+        changes nothing.  An L1D miss, or an access sent to
+        :meth:`data_access`, ends the repeat.  A line no wider than a
+        page keeps the page with it; wider lines take every data access
+        through :meth:`data_access`.
         """
         line_shift = self._line_shift
-        ifetch = self.ifetch
-        itlb = self.itlb
-        translate = itlb.translate
-        tlb = itlb._tlb
-        l1i = self.l1i
-        sets = l1i._sets
-        set_mask = l1i._set_mask
-        assoc = l1i.assoc
-        lru = l1i._lru
-        l2 = self.l2
-        fill_l1i = l1i.fill_line
-        fill_l2 = l2.fill_line
-        access_l2 = l2.access_line
-        dram_access = self.dram.access
-        prefetcher = self._iprefetcher
-        prefetching = prefetcher.degree
-        on_miss = prefetcher.on_miss
         l1_latency = self._l1_latency
         l2_latency = self._l2_latency
-        inline = l1i.profiler is None
-        misses_inline = inline and l1i._rngs is None
-        tlb_hits = hits = misses = writebacks = fills = 0
+        ifetch = self.ifetch
+        data_access = self.data_access
+        dram_access = self.dram.access
+        itlb = self.itlb
+        itlb_pages = itlb._tlb
+        itranslate = itlb.translate
+        dtlb = self.dtlb
+        dtlb_pages = dtlb._tlb
+        dtranslate = dtlb.translate
+        l1i = self.l1i
+        isets = l1i._sets
+        imask = l1i._set_mask
+        iassoc = l1i.assoc
+        ilru = l1i._lru
+        l1d = self.l1d
+        dsets = l1d._sets
+        dmask = l1d._set_mask
+        dassoc = l1d.assoc
+        dlru = l1d._lru
+        l2 = self.l2
+        l2sets = l2._sets
+        l2mask = l2._set_mask
+        l2assoc = l2.assoc
+        l2lru = l2._lru
+        iprefetcher = self._iprefetcher
+        iprefetching = iprefetcher.degree
+        ion_miss = iprefetcher.on_miss
+        fill_l1i = l1i.fill_line
+        fill_l2 = l2.fill_line
+        don_miss = self._dprefetcher.on_miss
+        l2_inline = l2.profiler is None and l2._rngs is None
+        fetch_inline = l1i.profiler is None
+        fetch_misses_inline = (fetch_inline and l1i._rngs is None
+                               and l2_inline)
+        data_inline = l1d.profiler is None and line_shift <= PAGE_SHIFT
+        data_misses_inline = (data_inline and l1d._rngs is None
+                              and l2_inline)
+        memory = sizes is not None
+        accesses = zip(sizes, offsets) if memory else None
+        ipage = dpage = hit_line = -1
+        itlb_hits = ihits = imisses = iwritebacks = 0
+        dtlb_hits = repeats = dhits = dmisses = dwritebacks = 0
+        l2hits = l2misses = l2writebacks = fills = 0
         for pc, n in zip(pcs, ns):
             line = pc >> line_shift
             if line != current_line:
                 current_line = line
-                ways = sets[line & set_mask]
+                ways = isets[line & imask]
                 hit = line in ways
-                if misses_inline or (inline and hit):
+                if fetch_misses_inline or (fetch_inline and hit):
                     page = pc >> PAGE_SHIFT
-                    if page in tlb:
-                        del tlb[page]
-                        tlb[page] = None
-                        tlb_hits += 1
+                    if page == ipage:
+                        itlb_hits += 1
+                        latency = l1_latency
+                    elif page in itlb_pages:
+                        del itlb_pages[page]
+                        itlb_pages[page] = None
+                        itlb_hits += 1
                         latency = l1_latency
                     else:
-                        latency = l1_latency + translate(pc)
+                        latency = l1_latency + itranslate(pc)
+                    ipage = page
                     if hit:
-                        if lru:
+                        if ilru:
                             ways[line] = ways.pop(line)
-                        hits += 1
+                        ihits += 1
                     else:
-                        misses += 1
-                        if len(ways) >= assoc and ways.pop(next(iter(ways))):
-                            writebacks += 1
+                        imisses += 1
+                        if len(ways) >= iassoc and ways.pop(next(iter(ways))):
+                            iwritebacks += 1
                         ways[line] = False
-                        if prefetching:
-                            proposed = on_miss(pc, line)
+                        if iprefetching:
+                            proposed = ion_miss(pc, line)
                             for fill in proposed:
                                 fill_l1i(fill)
                                 fill_l2(fill)
                             fills += len(proposed)
                         latency += l2_latency
-                        if not access_l2(line):
+                        ways = l2sets[line & l2mask]
+                        if line in ways:
+                            if l2lru:
+                                ways[line] = ways.pop(line)
+                            l2hits += 1
+                        else:
+                            l2misses += 1
+                            if (len(ways) >= l2assoc
+                                    and ways.pop(next(iter(ways)))):
+                                l2writebacks += 1
+                            ways[line] = False
                             latency += dram_access(pc, cycles)
                     cycles += latency
                 else:
                     cycles += ifetch(pc, cycles)
-            cycles += n
-        itlb.accesses += tlb_hits
-        l1i.accesses += hits + misses
-        l1i.hits += hits
-        l1i.misses += misses
-        l1i.writebacks += writebacks
-        self.prefetch_fills += fills
-        return cycles, current_line
-
-    def data_run(self, pc: int, sizes: Sequence[int], base: int,
-                 offsets: Iterable[int], write: bool, cycles: int,
-                 current_line: int) -> Tuple[int, int]:
-        """Replay one unrolled run of loads or stores; returns
-        ``(cycles, current_line)``.
-
-        The run's instances start at ``pc`` and are ``sizes`` bytes long;
-        the i-th accesses ``base`` plus the i-th of ``offsets``.  Each
-        instance fetches its I-cache line through :meth:`ifetch` when it
-        differs from ``current_line``, takes one cycle, then makes its
-        access at that cycle and PC: the same calls, cycles and state as
-        one :meth:`ifetch` per line change and one :meth:`data_access`
-        per instance would give.
-
-        An access to the line that the run's previous access hit in this
-        frame is a repeat: it adds ``1 + l1_latency`` cycles and counts
-        one DTLB access, one L1D access and one L1D hit, with no lookup.
-        That is exact because only :meth:`ifetch` runs between two
-        accesses, and it touches neither the DTLB nor the L1D: the hit
-        left the page the DTLB's newest entry, and the line its set's
-        newest under lru (in place under fifo and random) with its dirty
-        bit already holding ``write``, so the repeat's refresh and update
-        change nothing.  An L1D miss, or an access sent to
-        :meth:`data_access`, ends the repeat.  A line no wider than a
-        page keeps the page with it; wider lines take every access
-        through :meth:`data_access`.
-        """
-        line_shift = self._line_shift
-        ifetch = self.ifetch
-        data_access = self.data_access
-        dtlb = self.dtlb
-        translate = dtlb.translate
-        tlb = dtlb._tlb
-        l1d = self.l1d
-        sets = l1d._sets
-        set_mask = l1d._set_mask
-        assoc = l1d.assoc
-        lru = l1d._lru
-        l2 = self.l2
-        fill_l1d = l1d.fill_line
-        fill_l2 = l2.fill_line
-        access_l2 = l2.access_line
-        dram_access = self.dram.access
-        on_miss = self._dprefetcher.on_miss
-        l1_latency = self._l1_latency
-        l2_latency = self._l2_latency
-        inline = l1d.profiler is None and line_shift <= PAGE_SHIFT
-        misses_inline = inline and l1d._rngs is None
-        hit_line = -1
-        repeats = tlb_hits = hits = misses = writebacks = fills = 0
-        for size, offset in zip(sizes, offsets):
-            line = pc >> line_shift
-            if line != current_line:
-                cycles += ifetch(pc, cycles)
-                current_line = line
-            cycles += 1
-            addr = base + offset
-            data_line = addr >> line_shift
-            if data_line == hit_line:
-                cycles += l1_latency
-                repeats += 1
-            else:
-                ways = sets[data_line & set_mask]
+                    ipage = pc >> PAGE_SHIFT
+            if not memory:
+                cycles += n
+                continue
+            for size, offset in islice(accesses, n):
+                cycles += 1
+                addr = base + offset
+                data_line = addr >> line_shift
+                if data_line == hit_line:
+                    cycles += l1_latency
+                    repeats += 1
+                    pc += size
+                    continue
+                ways = dsets[data_line & dmask]
                 hit = data_line in ways
-                if misses_inline or (inline and hit):
+                if data_misses_inline or (data_inline and hit):
                     page = addr >> PAGE_SHIFT
-                    if page in tlb:
-                        del tlb[page]
-                        tlb[page] = None
-                        tlb_hits += 1
+                    if page == dpage:
+                        dtlb_hits += 1
+                        latency = l1_latency
+                    elif page in dtlb_pages:
+                        del dtlb_pages[page]
+                        dtlb_pages[page] = None
+                        dtlb_hits += 1
                         latency = l1_latency
                     else:
-                        latency = l1_latency + translate(addr)
+                        latency = l1_latency + dtranslate(addr)
+                    dpage = page
                     if hit:
-                        if lru:
+                        if dlru:
                             ways[data_line] = ways.pop(data_line) or write
                         elif write:
                             ways[data_line] = True
-                        hits += 1
+                        dhits += 1
                         hit_line = data_line
                     else:
-                        misses += 1
-                        if len(ways) >= assoc and ways.pop(next(iter(ways))):
-                            writebacks += 1
+                        dmisses += 1
+                        if len(ways) >= dassoc and ways.pop(next(iter(ways))):
+                            dwritebacks += 1
                         ways[data_line] = write
-                        proposed = on_miss(pc, data_line)
+                        proposed = don_miss(pc, data_line)
                         for fill in proposed:
-                            fill_l1d(fill)
-                            fill_l2(fill)
+                            ways = dsets[fill & dmask]
+                            if fill not in ways:
+                                if (len(ways) >= dassoc
+                                        and ways.pop(next(iter(ways)))):
+                                    dwritebacks += 1
+                                ways[fill] = False
+                            ways = l2sets[fill & l2mask]
+                            if fill not in ways:
+                                if (len(ways) >= l2assoc
+                                        and ways.pop(next(iter(ways)))):
+                                    l2writebacks += 1
+                                ways[fill] = False
                         fills += len(proposed)
                         latency += l2_latency
-                        if not access_l2(data_line, write):
+                        ways = l2sets[data_line & l2mask]
+                        if data_line in ways:
+                            if l2lru:
+                                ways[data_line] = ways.pop(data_line) or write
+                            elif write:
+                                ways[data_line] = True
+                            l2hits += 1
+                        else:
+                            l2misses += 1
+                            if (len(ways) >= l2assoc
+                                    and ways.pop(next(iter(ways)))):
+                                l2writebacks += 1
+                            ways[data_line] = write
                             latency += dram_access(addr, cycles)
                         hit_line = -1
                     cycles += latency
                 else:
                     cycles += data_access(addr, write, cycles, pc)
+                    dpage = addr >> PAGE_SHIFT
                     hit_line = -1
-            pc += size
-        dtlb.accesses += tlb_hits + repeats
-        l1d.accesses += repeats + hits + misses
-        l1d.hits += repeats + hits
-        l1d.misses += misses
-        l1d.writebacks += writebacks
+                pc += size
+        itlb.accesses += itlb_hits
+        l1i.accesses += ihits + imisses
+        l1i.hits += ihits
+        l1i.misses += imisses
+        l1i.writebacks += iwritebacks
+        dtlb.accesses += dtlb_hits + repeats
+        l1d.accesses += repeats + dhits + dmisses
+        l1d.hits += repeats + dhits
+        l1d.misses += dmisses
+        l1d.writebacks += dwritebacks
+        l2.accesses += l2hits + l2misses
+        l2.hits += l2hits
+        l2.misses += l2misses
+        l2.writebacks += l2writebacks
         self.prefetch_fills += fills
         return cycles, current_line
 

@@ -61,10 +61,11 @@ class Tlb:
         tlb = self._tlb
         self.accesses += 1
         if page in tlb:
-            # CoreMemSystem.data_run and fetch_run repeat this refresh
-            # inline.  They, this method and Cache.access_line are the
-            # only code that updates a TLB or set on a demand access;
-            # keep the four in step.
+            # CoreMemSystem.replay repeats this refresh inline, and skips
+            # it when the page is already the newest entry.  It, this
+            # method, Cache.access_line and Cache.fill_line are the only
+            # code that updates a TLB or set on a demand access; keep the
+            # four in step.
             del tlb[page]
             tlb[page] = None  # refresh LRU position
             return 0

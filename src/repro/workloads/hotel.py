@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import struct
 from typing import Any, Dict, List, Optional
 
 from repro.db.engine import Datastore, encoded_size
@@ -75,6 +76,28 @@ def seed_dataset(db: Datastore, seed: int = 11) -> Dict[str, int]:
     return {"hotels": NUM_HOTELS, "users": NUM_USERS}
 
 
+def _draw_bytes(rng: random.Random, count: int) -> bytes:
+    """``count`` draws of ``rng.randrange(256)``, as ``bytes``.
+
+    ``randrange(256)`` takes the top 9 bits of one 32-bit Mersenne output
+    and draws again when its top bit is set, so an output ``word`` below
+    ``1 << 31`` gives the byte ``word >> 23``.  One ``getrandbits`` call
+    per round yields the round's outputs in draw order, and a round draws
+    exactly the bytes still missing, so the rng ends where ``count``
+    ``randrange(256)`` calls leave it.
+    """
+    getrandbits = rng.getrandbits
+    drawn = bytearray()
+    missing = count
+    while missing:
+        words = struct.unpack("<%dI" % missing,
+                              getrandbits(32 * missing).to_bytes(
+                                  4 * missing, "little"))
+        drawn.extend(word >> 23 for word in words if word < 1 << 31)
+        missing = count - len(drawn)
+    return bytes(drawn)
+
+
 def _generate_documents(seed: int):
     """Yield the dataset rows in insertion order (one rng stream)."""
     rng = random.Random(seed)
@@ -92,9 +115,7 @@ def _generate_documents(seed: int):
             # Inline thumbnail payload: profiles are by far the suite's
             # largest rows, which is what makes the Profile function's
             # cold execution the outlier of Fig 4.5.
-            "thumbnail_data": "".join(
-                "%02x" % rng.randrange(256) for _ in range(PROFILE_IMAGE_BYTES // 2)
-            ),
+            "thumbnail_data": _draw_bytes(rng, PROFILE_IMAGE_BYTES // 2).hex(),
         })
         yield ("geo", hotel_id, {
             "hotel_id": hotel_id,

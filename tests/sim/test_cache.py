@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.attribution import CacheProfiler
 from repro.sim.isa import ir
+from repro.sim.isa.predecode import _split_lines
 from repro.sim.mem.cache import Cache
 from repro.sim.mem.dram import DramModel
 from repro.sim.mem.hierarchy import CoreMemSystem, MemoryHierarchyConfig
@@ -315,8 +317,9 @@ def test_property_matches_reference_model(policy, assoc, ops):
 
 def reference_run(mem, pc, sizes, base, offsets, write, cycles,
                   current_line):
-    """The per-access loop ``CoreMemSystem.data_run`` replaces: fetch on
-    an I-line change, one cycle, one ``data_access`` per instance."""
+    """The per-access loop ``CoreMemSystem.replay`` replaces for a memory
+    run: fetch on an I-line change, one cycle, one ``data_access`` per
+    instance."""
     for size, offset in zip(sizes, offsets):
         line = pc >> mem._line_shift
         if line != current_line:
@@ -325,6 +328,18 @@ def reference_run(mem, pc, sizes, base, offsets, write, cycles,
         cycles += 1
         cycles += mem.data_access(base + offset, write, cycles, pc)
         pc += size
+    return cycles, current_line
+
+
+def reference_fetches(mem, pcs, ns, cycles, current_line):
+    """The per-line loop ``CoreMemSystem.replay`` replaces for a compute
+    run: fetch on an I-line change, then that line's cycles."""
+    for pc, n in zip(pcs, ns):
+        line = pc >> mem._line_shift
+        if line != current_line:
+            cycles += mem.ifetch(pc, cycles)
+            current_line = line
+        cycles += n
     return cycles, current_line
 
 
@@ -337,57 +352,125 @@ _PATTERNS = st.one_of(
               hot_probability=st.sampled_from([0.5, 0.95])),
 )
 
-#: One step of the run-method property: mostly runs, with the
-#: occasional flush or checkpoint round trip between them.
-_RUN_STEPS = st.one_of(
-    st.tuples(st.just("run"),
-              st.integers(0, 1 << 16),                      # first PC
-              st.lists(st.integers(1, 15), min_size=1, max_size=300),
+#: One step of the replay property.  Code sits in twelve pages, so the
+#: ITLB overflows.  A compute run is a list of ``(pc, n)`` lines drawn
+#: from eight lines in each page, so runs revisit lines; a memory run
+#: starts in a page's first kilobyte, so its fetches share lines with
+#: the compute runs'.  Runs hold at least 10 lines or 30 accesses, since
+#: an unbounded list averages a handful, too few to fill the caches.
+#: The occasional flush or checkpoint round trip falls between runs.
+_REPLAY_STEPS = st.one_of(
+    st.tuples(st.just("compute"),
+              st.lists(st.tuples(st.integers(0, 11),        # page
+                                 st.integers(0, 7),         # line in page
+                                 st.integers(0, 63),        # byte in line
+                                 st.integers(1, 20)),       # instances
+                       min_size=10, max_size=200)),
+    st.tuples(st.just("memory"),
+              st.integers(0, 11),                           # first PC page
+              st.integers(0, 1023),                         # and byte
+              st.lists(st.integers(1, 15), min_size=30, max_size=300),
               st.integers(0, 2),                            # region index
               _PATTERNS,
               st.booleans()),                               # write
     st.tuples(st.sampled_from(["flush", "checkpoint"])),
 )
 
+#: The cache a profiler is attached to, if any.
+_PROFILED = (None, "l1i", "l1d", "l2")
+
 
 @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 # A 72-byte region read at stride 8 in a one-line L1D: eight accesses to
 # line 0, one to line 1, which evicts line 0, then line 0 again.
-@example(l1d_assoc=1, l1d_sets=1, prefetch=("none", 0),
+@example(l1_assoc=1, l1_sets=1, l2_assoc=4, l2_sets=2, tlb_entries=8,
+         profiled=None,
+         iprefetch=("none", 0), dprefetch=("none", 0),
          regions=[(0, 0, 72)] * 3,
-         steps=[("run", 0, [4] * 20, 0, ir.StridePattern(stride=8, start=0),
-                 False)],
+         steps=[("memory", 0, 0, [4] * 20, 0,
+                 ir.StridePattern(stride=8, start=0), False)],
          seed=0)
+# A store run at stride 64 through a one-line L1D with next-line
+# prefetch: each store misses the L1D and hits the line its previous
+# miss prefetched, clean, into the L2, which under fifo it makes dirty.
+@example(l1_assoc=1, l1_sets=1, l2_assoc=2, l2_sets=2, tlb_entries=8,
+         profiled=None, iprefetch=("none", 0), dprefetch=("nextline", 2),
+         regions=[(0, 0, PAGE_SIZE)] * 3,
+         steps=[("memory", 0, 0, [4] * 10, 0,
+                 ir.StridePattern(stride=64, start=0), True)],
+         seed=0)
+# With the L2 profiled, L1 hits are taken in the frame and L1 misses go
+# through ifetch/data_access.  Fetches on pages 0, 1, 0, 2, 0, 3 through
+# a 2-entry ITLB: the second fetch on page 0 follows a call on page 2 and
+# must refresh page 0, so that page 3's walk evicts page 2.
+@example(l1_assoc=4, l1_sets=1, l2_assoc=4, l2_sets=4, tlb_entries=2,
+         profiled="l2", iprefetch=("none", 0), dprefetch=("none", 0),
+         regions=[(0, 0, 64)] * 3,
+         steps=[("compute", [(0, 0, 0, 1), (1, 0, 0, 1), (0, 0, 0, 1),
+                             (2, 0, 0, 1), (0, 0, 0, 1), (3, 0, 0, 1)])],
+         seed=0)
+# The same on the data side: hot lines on one page hit the L1D between
+# cold misses on the region's other pages.
+@example(l1_assoc=4, l1_sets=1, l2_assoc=4, l2_sets=4, tlb_entries=2,
+         profiled="l2", iprefetch=("none", 0), dprefetch=("none", 0),
+         regions=[(1, 0, 4 * PAGE_SIZE)] * 3,
+         steps=[("memory", 0, 0, [4] * 40, 0,
+                 ir.HotColdPattern(hot_fraction=0.05, hot_probability=0.95),
+                 False)],
+         seed=21)
 @given(
-    l1d_assoc=st.sampled_from([1, 2, 4, 8]),
-    l1d_sets=st.sampled_from([1, 2, 4]),
-    prefetch=st.sampled_from([("nextline", 2), ("stride", 2), ("none", 0)]),
+    l1_assoc=st.sampled_from([1, 2, 4]),
+    l1_sets=st.sampled_from([1, 2]),
+    l2_assoc=st.sampled_from([1, 2, 4]),
+    l2_sets=st.sampled_from([2, 4]),
+    tlb_entries=st.sampled_from([2, 8]),
+    profiled=st.sampled_from(_PROFILED),
+    iprefetch=st.sampled_from([("nextline", 2), ("none", 0)]),
+    dprefetch=st.sampled_from([("nextline", 2), ("stride", 2), ("none", 0)]),
     regions=st.lists(st.tuples(st.integers(0, 1 << 10),     # base page
                                st.integers(0, PAGE_SIZE - 1),
                                st.integers(1, 6 * PAGE_SIZE)),
                      min_size=3, max_size=3),
-    steps=st.lists(_RUN_STEPS, min_size=1, max_size=6),
+    steps=st.lists(_REPLAY_STEPS, min_size=2, max_size=8),
     seed=st.integers(0, 1 << 16),
 )
-def test_property_data_run_matches_per_access_loop(
-        policy, l1d_assoc, l1d_sets, prefetch, regions, steps, seed):
-    # A small L1D, a 2-set L2 and an 8-entry DTLB over regions of up to
-    # six pages: misses, walks, prefetch fills, dirty writebacks and
-    # DRAM accesses all occur within a few hundred accesses.
+def test_property_replay_matches_per_access_loops(
+        policy, l1_assoc, l1_sets, l2_assoc, l2_sets, tlb_entries, profiled,
+        iprefetch, dprefetch, regions, steps, seed):
+    # L1s of at most 8 lines, an L2 of 2 to 16 and 2- or 8-entry TLBs
+    # over data regions of up to six pages: misses at every level,
+    # walks, prefetch fills, dirty writebacks and DRAM row hits and
+    # conflicts all occur within a few runs, and an L1 miss often hits
+    # the L2.  A 2-entry TLB evicts by recency on almost every page
+    # change, so a wrong refresh order shows at the end of the run.
+    # Both run kinds share the ITLB, the L2, DRAM and ``current_line``,
+    # so one stream mixes them.
     config = MemoryHierarchyConfig(
-        l1i_size=2 * 2 * 64, l1i_assoc=2,
-        l1d_size=l1d_sets * l1d_assoc * 64, l1d_assoc=l1d_assoc,
-        l2_size=2 * 4 * 64, l2_assoc=4, replacement=policy,
-        itlb_entries=8, dtlb_entries=8,
-        prefetch_d_kind=prefetch[0], prefetch_d_degree=prefetch[1])
+        l1i_size=l1_sets * l1_assoc * 64, l1i_assoc=l1_assoc,
+        l1d_size=l1_sets * l1_assoc * 64, l1d_assoc=l1_assoc,
+        l2_size=l2_sets * l2_assoc * 64, l2_assoc=l2_assoc,
+        replacement=policy, itlb_entries=tlb_entries,
+        dtlb_entries=tlb_entries,
+        prefetch_i_kind=iprefetch[0], prefetch_i_degree=iprefetch[1],
+        prefetch_d_kind=dprefetch[0], prefetch_d_degree=dprefetch[1])
     regions = [ir.Region("r%d" % index, page * PAGE_SIZE + offset, size)
                for index, (page, offset, size) in enumerate(regions)]
 
-    def build():
+    def build(state=None):
         stats = StatGroup("sys")
-        return CoreMemSystem(1, config, DramModel(stats_parent=stats),
-                             stats), stats
+        mem = CoreMemSystem(1, config, DramModel(stats_parent=stats), stats)
+        if state is not None:
+            mem.load_state(state[0])
+            mem.dram.load_state(state[1])
+        if profiled is not None:
+            cache = getattr(mem, profiled)
+            cache.profiler = CacheProfiler.for_cache(cache)
+        return mem, stats
+
+    def profile(mem):
+        return None if profiled is None else \
+            getattr(mem, profiled).profiler.snapshot()
 
     (fast, fast_stats), (slow, slow_stats) = build(), build()
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
@@ -397,17 +480,24 @@ def test_property_data_run_matches_per_access_loop(
             fast.flush_all()
             slow.flush_all()
         elif step[0] == "checkpoint":
-            fast_state, slow_state = fast.state_dict(), slow.state_dict()
-            (fast, fast_stats), (slow, slow_stats) = build(), build()
-            fast.load_state(fast_state)
-            slow.load_state(slow_state)
+            fast, fast_stats = build((fast.state_dict(),
+                                      fast.dram.state_dict()))
+            slow, slow_stats = build((slow.state_dict(),
+                                      slow.dram.state_dict()))
+        elif step[0] == "compute":
+            pcs = [page * PAGE_SIZE + slot * 64 + byte
+                   for page, slot, byte, _ in step[1]]
+            ns = [n for _, _, _, n in step[1]]
+            fast_at = fast.replay(pcs, ns, *fast_at)
+            slow_at = reference_fetches(slow, pcs, ns, *slow_at)
         else:
-            _, pc, sizes, index, pattern, write = step
+            _, page, byte, sizes, index, pattern, write = step
+            pc = page * PAGE_SIZE + byte
             region = regions[index]
-            fast_at = fast.data_run(
-                pc, sizes, region.base,
-                pattern.offsets(region, len(sizes), fast_rng), write,
-                *fast_at)
+            pcs, ns = _split_lines(pc, sizes, fast._line_shift)
+            fast_at = fast.replay(
+                pcs, ns, *fast_at, sizes, region.base,
+                pattern.offsets(region, len(sizes), fast_rng), write)
             slow_at = reference_run(
                 slow, pc, sizes, region.base,
                 pattern.offsets(region, len(sizes), slow_rng), write,
@@ -415,75 +505,5 @@ def test_property_data_run_matches_per_access_loop(
         assert fast_at == slow_at
         assert fast_stats.dump() == slow_stats.dump()
         assert fast.state_dict() == slow.state_dict()
-
-
-def reference_fetches(mem, pcs, ns, cycles, current_line):
-    """The per-line loop ``CoreMemSystem.fetch_run`` replaces: fetch on
-    an I-line change, then that line's cycles."""
-    for pc, n in zip(pcs, ns):
-        line = pc >> mem._line_shift
-        if line != current_line:
-            cycles += mem.ifetch(pc, cycles)
-            current_line = line
-        cycles += n
-    return cycles, current_line
-
-
-#: One step of the fetch-run property: a run's ``(pc, n)`` lines, drawn
-#: from eight lines in each of twelve pages so that runs revisit lines
-#: and overflow the 8-entry ITLB, with the occasional flush or
-#: checkpoint round trip between runs.
-_FETCH_STEPS = st.one_of(
-    st.lists(st.tuples(st.integers(0, 11),                  # page
-                       st.integers(0, 7),                   # line in page
-                       st.integers(0, 63),                  # byte in line
-                       st.integers(1, 20)),                 # instances
-             min_size=1, max_size=200),
-    st.sampled_from(["flush", "checkpoint"]),
-)
-
-
-@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-@settings(max_examples=60, deadline=None)
-@given(
-    l1i_assoc=st.sampled_from([1, 2, 4, 8]),
-    l1i_sets=st.sampled_from([1, 2, 4]),
-    prefetch=st.sampled_from([("nextline", 2), ("none", 0)]),
-    steps=st.lists(_FETCH_STEPS, min_size=1, max_size=6),
-)
-def test_property_fetch_run_matches_per_line_loop(
-        policy, l1i_assoc, l1i_sets, prefetch, steps):
-    # A small L1I, a 2-set L2 and an 8-entry ITLB: misses, walks,
-    # prefetch fills and DRAM accesses all occur within a few runs.
-    config = MemoryHierarchyConfig(
-        l1i_size=l1i_sets * l1i_assoc * 64, l1i_assoc=l1i_assoc,
-        l1d_size=2 * 2 * 64, l1d_assoc=2,
-        l2_size=2 * 4 * 64, l2_assoc=4, replacement=policy,
-        itlb_entries=8, dtlb_entries=8,
-        prefetch_i_kind=prefetch[0], prefetch_i_degree=prefetch[1])
-
-    def build():
-        stats = StatGroup("sys")
-        return CoreMemSystem(1, config, DramModel(stats_parent=stats),
-                             stats), stats
-
-    (fast, fast_stats), (slow, slow_stats) = build(), build()
-    fast_at = slow_at = (0, -1)
-    for step in steps:
-        if step == "flush":
-            fast.flush_all()
-            slow.flush_all()
-        elif step == "checkpoint":
-            fast_state, slow_state = fast.state_dict(), slow.state_dict()
-            (fast, fast_stats), (slow, slow_stats) = build(), build()
-            fast.load_state(fast_state)
-            slow.load_state(slow_state)
-        else:
-            pcs = [page * PAGE_SIZE + slot * 64 + byte
-                   for page, slot, byte, _ in step]
-            ns = [n for _, _, _, n in step]
-            fast_at = fast.fetch_run(pcs, ns, *fast_at)
-            slow_at = reference_fetches(slow, pcs, ns, *slow_at)
-        assert fast_at == slow_at
-        assert fast_stats.dump() == slow_stats.dump()
-        assert fast.state_dict() == slow.state_dict()
+        assert fast.dram.state_dict() == slow.dram.state_dict()
+        assert profile(fast) == profile(slow)

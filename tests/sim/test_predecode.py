@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.attribution import CacheProfiler
 from repro.sim.isa import ir, predecode
 from repro.sim.isa.base import AssembledBlock, InstrClass, UnrolledRun
 from repro.sim.isa.predecode import _MAX_CALL_DEPTH
@@ -188,9 +189,10 @@ def memory_calls(program, isa, seed=0, line_size=64):
     its arguments (PC, address, write flag and cycle): their number and
     digest.
 
-    Profilers are attached so that ``CoreMemSystem.data_run`` takes its
-    per-access path: without one it takes DTLB and L1D hits inline,
-    and those never call ``data_access``."""
+    Profilers are attached so that ``CoreMemSystem.replay`` sends every
+    fetch and access through ``ifetch`` and ``data_access``: without
+    them it takes the TLBs, L1s and L2 in its own frame, which never
+    calls either."""
     system = system_for(isa, line_size)
     system.attach_profilers(1)
     mem = system.cores[1]
@@ -699,22 +701,26 @@ class TestAtomicSteps:
                       5, line_size)
 
     @staticmethod
-    def profiled_cache(isa, shape, name):
+    def profiled_cache(isa, shape, name, alone=False):
         """Attached profilers send every Atomic access of cache ``name``
         down the per-access path: the RunResult and stat dump equal an
         unprofiled replay's, and that cache's profiler counts every hit
-        and miss.  Returns the cache."""
+        and miss.  ``alone`` profiles that cache only, else every cache
+        and TLB.  Returns the cache."""
         program = shape()
         system = system_for(isa)
-        profilers = system.attach_profilers(1)
+        cache = getattr(system.cores[1], name)
+        if alone:
+            cache.profiler = CacheProfiler.for_cache(cache)
+        else:
+            system.attach_profilers(1)
         run = system.run(1, program, model="atomic", seed=0)
         assert (run.cycles, run.instructions, run.loads, run.stores,
                 run.branches, stat_digest(system.dump_stats())) \
             == replay(program, isa, "atomic", 0)
-        cache = getattr(system.cores[1], name)
         assert cache.misses
-        assert (profilers[name].demand_hits,
-                profilers[name].demand_misses) == (cache.hits, cache.misses)
+        assert (cache.profiler.demand_hits,
+                cache.profiler.demand_misses) == (cache.hits, cache.misses)
         return cache
 
     @pytest.mark.parametrize("shape", [straightline, edge_runs,
@@ -732,6 +738,15 @@ class TestAtomicSteps:
         """Only the looped shape revisits an I-cache line."""
         l1i = self.profiled_cache(isa, shape, "l1i")
         assert bool(l1i.hits) == (shape is unrolled_shapes)
+
+    @pytest.mark.parametrize("shape", [straightline, edge_runs,
+                                       unrolled_shapes],
+                             ids=["straightline", "edges", "unrolled"])
+    @pytest.mark.parametrize("isa", ISAS)
+    def test_l2_profiler_alone_sees_every_l2_access(self, isa, shape):
+        """With only the L2 profiled, replay keeps L1 hits in its frame
+        and sends every L1 miss through ifetch or data_access."""
+        self.profiled_cache(isa, shape, "l2", alone=True)
 
 
 class TestCallDepth:

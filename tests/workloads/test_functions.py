@@ -1,6 +1,12 @@
 """Functional tests for every vSwarm handler and the work models."""
 
+import hashlib
+import json
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scale import SimScale
 from repro.db import CassandraStore
@@ -14,7 +20,11 @@ from repro.workloads.catalog import (
     all_functions,
     get_function,
 )
-from repro.workloads.hotel import HotelSuite
+from repro.workloads.hotel import (
+    HotelSuite,
+    _draw_bytes,
+    _generate_documents,
+)
 
 SCALE = SimScale(time=2048, space=32)
 
@@ -204,6 +214,31 @@ class TestHotelHandlers:
         assert len(record.result["hotel_ids"]) == 5
         with pytest.raises(ValueError):
             platform.invoke("hotel-recommendation-go", {"require": "stars"})
+
+
+class TestHotelDataset:
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(min_value=0, max_value=3000), seed=st.integers())
+    def test_bulk_bytes_are_single_randrange_draws(self, count, seed):
+        """``_draw_bytes`` draws exactly as repeated ``randrange(256)``
+        calls, rng state included.  It reads the rng's raw 32-bit
+        outputs, so this runs on every supported Python."""
+        bulk_rng = random.Random(seed)
+        single_rng = random.Random(seed)
+        drawn = _draw_bytes(bulk_rng, count)
+        assert type(drawn) is bytes
+        assert list(drawn) == [single_rng.randrange(256)
+                               for _ in range(count)]
+        assert bulk_rng.getstate() == single_rng.getstate()
+
+    def test_documents_pinned(self):
+        """Every hotel measurement stores the seed-11 dataset; this is
+        the digest of its rows as sorted JSON, captured from per-call
+        ``randrange(256)`` thumbnail draws."""
+        rows = json.dumps(list(_generate_documents(11)), sort_keys=True)
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "2cbdf0027bf300370368cc3f04e9579e"
+            "310e562ffadef4ed0e2e3b12ed91b22b")
 
 
 class TestWorkModels:
