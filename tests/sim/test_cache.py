@@ -507,3 +507,149 @@ def test_property_replay_matches_per_access_loops(
         assert fast.state_dict() == slow.state_dict()
         assert fast.dram.state_dict() == slow.dram.state_dict()
         assert profile(fast) == profile(slow)
+
+
+def _build_mem(config, state=None):
+    stats = StatGroup("sys")
+    mem = CoreMemSystem(1, config, DramModel(stats_parent=stats), stats)
+    if state is not None:
+        mem.load_state(state[0])
+        mem.dram.load_state(state[1])
+    return mem, stats
+
+
+def _checkpoint(mem, config):
+    return _build_mem(config, (mem.state_dict(), mem.dram.state_dict()))
+
+
+#: One step of the memory-run property: mostly runs from any PC in the
+#: first 64 KiB, as short as one access, with the occasional flush or
+#: checkpoint round trip between them.
+_RUN_STEPS = st.one_of(
+    st.tuples(st.just("run"),
+              st.integers(0, 1 << 16),                      # first PC
+              st.lists(st.integers(1, 15), min_size=1, max_size=300),
+              st.integers(0, 2),                            # region index
+              _PATTERNS,
+              st.booleans()),                               # write
+    st.tuples(st.sampled_from(["flush", "checkpoint"])),
+)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+@settings(max_examples=60, deadline=None)
+# A 72-byte region read at stride 8 in a one-line L1D: eight accesses to
+# line 0, one to line 1, which evicts line 0, then line 0 again.
+@example(l1d_assoc=1, l1d_sets=1, prefetch=("none", 0),
+         regions=[(0, 0, 72)] * 3,
+         steps=[("run", 0, [4] * 20, 0, ir.StridePattern(stride=8, start=0),
+                 False)],
+         seed=0)
+@given(
+    l1d_assoc=st.sampled_from([1, 2, 4, 8]),
+    l1d_sets=st.sampled_from([1, 2, 4]),
+    prefetch=st.sampled_from([("nextline", 2), ("stride", 2), ("none", 0)]),
+    regions=st.lists(st.tuples(st.integers(0, 1 << 10),     # base page
+                               st.integers(0, PAGE_SIZE - 1),
+                               st.integers(1, 6 * PAGE_SIZE)),
+                     min_size=3, max_size=3),
+    steps=st.lists(_RUN_STEPS, min_size=1, max_size=6),
+    seed=st.integers(0, 1 << 16),
+)
+def test_property_data_run_matches_per_access_loop(
+        policy, l1d_assoc, l1d_sets, prefetch, regions, steps, seed):
+    # Memory runs alone through ``replay``: L1Ds of up to 32 lines, larger
+    # than the mixed property's, a 2-set L2 and an 8-entry DTLB over
+    # regions of up to six pages, and runs that start at any byte of
+    # sixteen pages and may hold a single access.
+    config = MemoryHierarchyConfig(
+        l1i_size=2 * 2 * 64, l1i_assoc=2,
+        l1d_size=l1d_sets * l1d_assoc * 64, l1d_assoc=l1d_assoc,
+        l2_size=2 * 4 * 64, l2_assoc=4, replacement=policy,
+        itlb_entries=8, dtlb_entries=8,
+        prefetch_d_kind=prefetch[0], prefetch_d_degree=prefetch[1])
+    regions = [ir.Region("r%d" % index, page * PAGE_SIZE + offset, size)
+               for index, (page, offset, size) in enumerate(regions)]
+
+    (fast, fast_stats), (slow, slow_stats) = \
+        _build_mem(config), _build_mem(config)
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    fast_at = slow_at = (0, -1)
+    for step in steps:
+        if step[0] == "flush":
+            fast.flush_all()
+            slow.flush_all()
+        elif step[0] == "checkpoint":
+            fast, fast_stats = _checkpoint(fast, config)
+            slow, slow_stats = _checkpoint(slow, config)
+        else:
+            _, pc, sizes, index, pattern, write = step
+            region = regions[index]
+            pcs, ns = _split_lines(pc, sizes, fast._line_shift)
+            fast_at = fast.replay(
+                pcs, ns, *fast_at, sizes, region.base,
+                pattern.offsets(region, len(sizes), fast_rng), write)
+            slow_at = reference_run(
+                slow, pc, sizes, region.base,
+                pattern.offsets(region, len(sizes), slow_rng), write,
+                *slow_at)
+        assert fast_at == slow_at
+        assert fast_stats.dump() == slow_stats.dump()
+        assert fast.state_dict() == slow.state_dict()
+        assert fast.dram.state_dict() == slow.dram.state_dict()
+
+
+#: One step of the compute-run property: a run's ``(pc, n)`` lines, drawn
+#: from eight lines in each of twelve pages so that runs revisit lines
+#: and overflow the 8-entry ITLB, with the occasional flush or
+#: checkpoint round trip between runs.
+_FETCH_STEPS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 11),                  # page
+                       st.integers(0, 7),                   # line in page
+                       st.integers(0, 63),                  # byte in line
+                       st.integers(1, 20)),                 # instances
+             min_size=1, max_size=200),
+    st.sampled_from(["flush", "checkpoint"]),
+)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+@settings(max_examples=60, deadline=None)
+@given(
+    l1i_assoc=st.sampled_from([1, 2, 4, 8]),
+    l1i_sets=st.sampled_from([1, 2, 4]),
+    prefetch=st.sampled_from([("nextline", 2), ("none", 0)]),
+    steps=st.lists(_FETCH_STEPS, min_size=1, max_size=6),
+)
+def test_property_fetch_run_matches_per_line_loop(
+        policy, l1i_assoc, l1i_sets, prefetch, steps):
+    # Compute runs alone through ``replay``: L1Is of up to 32 lines,
+    # larger than the mixed property's, a 2-set L2 and an 8-entry ITLB,
+    # and runs that may hold a single line.
+    config = MemoryHierarchyConfig(
+        l1i_size=l1i_sets * l1i_assoc * 64, l1i_assoc=l1i_assoc,
+        l1d_size=2 * 2 * 64, l1d_assoc=2,
+        l2_size=2 * 4 * 64, l2_assoc=4, replacement=policy,
+        itlb_entries=8, dtlb_entries=8,
+        prefetch_i_kind=prefetch[0], prefetch_i_degree=prefetch[1])
+
+    (fast, fast_stats), (slow, slow_stats) = \
+        _build_mem(config), _build_mem(config)
+    fast_at = slow_at = (0, -1)
+    for step in steps:
+        if step == "flush":
+            fast.flush_all()
+            slow.flush_all()
+        elif step == "checkpoint":
+            fast, fast_stats = _checkpoint(fast, config)
+            slow, slow_stats = _checkpoint(slow, config)
+        else:
+            pcs = [page * PAGE_SIZE + slot * 64 + byte
+                   for page, slot, byte, _ in step]
+            ns = [n for _, _, _, n in step]
+            fast_at = fast.replay(pcs, ns, *fast_at)
+            slow_at = reference_fetches(slow, pcs, ns, *slow_at)
+        assert fast_at == slow_at
+        assert fast_stats.dump() == slow_stats.dump()
+        assert fast.state_dict() == slow.state_dict()
+        assert fast.dram.state_dict() == slow.dram.state_dict()
