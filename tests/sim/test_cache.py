@@ -343,6 +343,19 @@ def reference_fetches(mem, pcs, ns, cycles, current_line):
     return cycles, current_line
 
 
+def _build_mem(config, state=None):
+    stats = StatGroup("sys")
+    mem = CoreMemSystem(1, config, DramModel(stats_parent=stats), stats)
+    if state is not None:
+        mem.load_state(state[0])
+        mem.dram.load_state(state[1])
+    return mem, stats
+
+
+def _checkpoint(mem, config):
+    return _build_mem(config, (mem.state_dict(), mem.dram.state_dict()))
+
+
 _PATTERNS = st.one_of(
     st.builds(ir.StridePattern,
               stride=st.integers(-300, 300).filter(bool),
@@ -457,22 +470,18 @@ def test_property_replay_matches_per_access_loops(
     regions = [ir.Region("r%d" % index, page * PAGE_SIZE + offset, size)
                for index, (page, offset, size) in enumerate(regions)]
 
-    def build(state=None):
-        stats = StatGroup("sys")
-        mem = CoreMemSystem(1, config, DramModel(stats_parent=stats), stats)
-        if state is not None:
-            mem.load_state(state[0])
-            mem.dram.load_state(state[1])
+    def attach(built):
         if profiled is not None:
-            cache = getattr(mem, profiled)
+            cache = getattr(built[0], profiled)
             cache.profiler = CacheProfiler.for_cache(cache)
-        return mem, stats
+        return built
 
     def profile(mem):
         return None if profiled is None else \
             getattr(mem, profiled).profiler.snapshot()
 
-    (fast, fast_stats), (slow, slow_stats) = build(), build()
+    (fast, fast_stats), (slow, slow_stats) = \
+        attach(_build_mem(config)), attach(_build_mem(config))
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
     fast_at = slow_at = (0, -1)
     for step in steps:
@@ -480,10 +489,8 @@ def test_property_replay_matches_per_access_loops(
             fast.flush_all()
             slow.flush_all()
         elif step[0] == "checkpoint":
-            fast, fast_stats = build((fast.state_dict(),
-                                      fast.dram.state_dict()))
-            slow, slow_stats = build((slow.state_dict(),
-                                      slow.dram.state_dict()))
+            fast, fast_stats = attach(_checkpoint(fast, config))
+            slow, slow_stats = attach(_checkpoint(slow, config))
         elif step[0] == "compute":
             pcs = [page * PAGE_SIZE + slot * 64 + byte
                    for page, slot, byte, _ in step[1]]
@@ -507,19 +514,6 @@ def test_property_replay_matches_per_access_loops(
         assert fast.state_dict() == slow.state_dict()
         assert fast.dram.state_dict() == slow.dram.state_dict()
         assert profile(fast) == profile(slow)
-
-
-def _build_mem(config, state=None):
-    stats = StatGroup("sys")
-    mem = CoreMemSystem(1, config, DramModel(stats_parent=stats), stats)
-    if state is not None:
-        mem.load_state(state[0])
-        mem.dram.load_state(state[1])
-    return mem, stats
-
-
-def _checkpoint(mem, config):
-    return _build_mem(config, (mem.state_dict(), mem.dram.state_dict()))
 
 
 #: One step of the memory-run property: mostly runs from any PC in the
