@@ -238,6 +238,27 @@ def warming(program, seed):
     return count, stat_digest(system.dump_stats())
 
 
+def warm_state(program, isa, seed, predictor):
+    """Functional warming on a fresh system, with the O3 branch
+    predictor instantiated or not: the warmed count, the stat-dump
+    digest and a digest of the whole ``state_dict()``, which also sees
+    what the dump cannot (LRU order, dirty bits, predictor tables)."""
+    system = system_for(isa)
+    if predictor:
+        system.cpu(1, "o3")
+    count = system.warm(1, program, seed=seed)
+    return (count, stat_digest(system.dump_stats()),
+            text_digest(repr(system.state_dict())))
+
+
+#: The warm end-state cases: shape name -> (program builder, seed).
+WARM_SHAPES = {
+    "build": (build_program, 3),
+    "unrolled": (unrolled_shapes, 11),
+    "edges": (edge_runs, 5),
+}
+
+
 #: Sampling geometries of the sampled cases; the vector program runs
 #: about 450 instructions, so its windows are smaller.
 SAMPLED = SamplingConfig(interval=2048, detail=512, warmup=128,
@@ -417,6 +438,42 @@ GOLDENS = {
         (5160, 1234, 240, 104, 72, '3c1af4891854628e'),
     ('sampled', 'x86'):
         (10514, 1403, 304, 124, 100, '86705deeca26b8f7'),
+    ('state', 'build', 'riscv', True):
+        (854, '3b081e10e64a5bf2', 'ff201c72fd9df4cc'),
+    ('state', 'build', 'riscv', False):
+        (854, 'a5873677c64dec80', '78f8b8032ef93877'),
+    ('state', 'build', 'x86', True):
+        (1063, 'b371ad015ac0e7bf', '193bbd852fce7b19'),
+    ('state', 'build', 'x86', False):
+        (1063, '6d974b04bd9d5425', '5705523f930e6d15'),
+    ('state', 'build', 'arm', True):
+        (896, '626775d133198d89', '8bdd212154eff282'),
+    ('state', 'build', 'arm', False):
+        (896, 'ec0f3320882e28b2', 'cda4cdbbb710da24'),
+    ('state', 'edges', 'riscv', True):
+        (109, 'f2429efcc0c39f2d', 'd65927b227519f9c'),
+    ('state', 'edges', 'riscv', False):
+        (109, '0f08703f28be653f', 'd5e8a7f0cedaad8e'),
+    ('state', 'edges', 'x86', True):
+        (113, '6137ad3b354d4073', 'e257a7af6c15c51c'),
+    ('state', 'edges', 'x86', False):
+        (113, 'da2a646965558edb', 'a4a66fc28cbed6d9'),
+    ('state', 'edges', 'arm', True):
+        (109, 'fdc6dfa095bd94c2', 'd0ba80c6a8f4d05f'),
+    ('state', 'edges', 'arm', False):
+        (109, '9c85c0b870243fe7', '597ff1331ee1956c'),
+    ('state', 'unrolled', 'riscv', True):
+        (3031, '52b8846107a0f39b', '78ba7fe09d9bf7c8'),
+    ('state', 'unrolled', 'riscv', False):
+        (3031, '2faf98d108bd7d1b', '95ee0a29142bb86b'),
+    ('state', 'unrolled', 'x86', True):
+        (5901, '18973aa85e7bf1a0', '7747269dc730140b'),
+    ('state', 'unrolled', 'x86', False):
+        (5901, 'cffd2b1183b0915d', 'd2a25850c78229f7'),
+    ('state', 'unrolled', 'arm', True):
+        (3717, 'efdc0e4f21dc94c7', '3338935b3a197dab'),
+    ('state', 'unrolled', 'arm', False):
+        (3717, '601548fd728492a2', '54e99b08c27628b7'),
     ('traced',):
         'cf9552d32ffae61c',
     ('unrolled', 'atomic', 'arm'):
@@ -551,6 +608,17 @@ class TestEquivalence:
 
     def test_warming_equivalent(self):
         assert_golden(("warming",), warming, build_program(seed=1), 1)
+
+    @pytest.mark.parametrize("predictor", [True, False],
+                             ids=["bpred", "no-bpred"])
+    @pytest.mark.parametrize("isa", ISAS)
+    @pytest.mark.parametrize("shape", sorted(WARM_SHAPES))
+    def test_warm_end_state(self, shape, isa, predictor):
+        """Warming's whole end state, with and without a predictor to
+        train: without one, p<1 branch runs only draw the trace rng."""
+        make, seed = WARM_SHAPES[shape]
+        assert_golden(("state", shape, isa, predictor), warm_state,
+                      make(seed=seed), isa, seed, predictor)
 
     @pytest.mark.parametrize("case", GRID, ids=grid_id)
     def test_grid_matches_golden(self, case):
