@@ -25,7 +25,6 @@ from repro.core import (
     SimScale,
     TEST,
     platform_for,
-    run_suite,
 )
 from repro.workloads import all_functions, get_function
 
@@ -42,6 +41,5 @@ __all__ = [
     "all_functions",
     "get_function",
     "platform_for",
-    "run_suite",
     "__version__",
 ]

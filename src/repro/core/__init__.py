@@ -33,7 +33,6 @@ from repro.core.harness import (
     ExperimentHarness,
     FunctionMeasurement,
     LukewarmMeasurement,
-    run_suite,
 )
 from repro.core.parallel import (
     MeasurementTask,
@@ -71,5 +70,4 @@ __all__ = [
     "platform_for",
     "resolve_jobs",
     "run_measurement_matrix",
-    "run_suite",
 ]

@@ -601,25 +601,3 @@ class ExperimentHarness:
         return [service for service in services.values()
                 if hasattr(service, "boot_profile")]
 
-
-def run_suite(
-    functions: Iterable["VSwarmFunction"],
-    isa: str,
-    scale: SimScale = BENCH,
-    services_for=None,
-    seed: int = 0,
-) -> Dict[str, FunctionMeasurement]:
-    """Measure a batch of functions on one platform.
-
-    ``services_for(function)`` supplies the bound services (database,
-    memcached) per function; each function gets a fresh harness so one
-    benchmark's microarchitectural state never leaks into another — the
-    per-function checkpoint discipline of the thesis's workflow.
-    """
-    measurements: Dict[str, FunctionMeasurement] = {}
-    for function in functions:
-        harness = ExperimentHarness(isa=isa, scale=scale, seed=seed)
-        services = services_for(function) if services_for else {}
-        measurements[function.name] = harness.measure_function(function,
-                                                               services=services)
-    return measurements

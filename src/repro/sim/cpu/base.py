@@ -85,14 +85,21 @@ class BaseCpu:
     def warm_program(self, assembled, seed: int = 0, bpred=None) -> int:
         """Functional pass: update cache/TLB/predictor state, no timing.
 
-        Returns the number of instructions traversed.  Used for the
+        Returns the number of instructions traversed, which is
+        :func:`~repro.sim.isa.predecode.program_length`.  Used for the
         untimed requests (2..9) between the cold and warm measurements.
         ``bpred`` (the detailed core's branch predictor, if any) trains on
-        the branch stream, exactly what functional warming is for.
-        Replays predecoded blocks (:func:`repro.sim.isa.predecode.
-        warm_run`).
+        the branch stream, exactly what functional warming is for.  Warms
+        from the O3 model's run stream with
+        :func:`~repro.sim.isa.predecode.warm_runs`, the function sampled
+        O3's warm-up regions call, so warming shares the O3 decode.
         """
-        return predecode.warm_run(assembled, seed, self.mem, bpred)
+        mem = self.mem
+        class_counts = [0] * len(InstrClass.NAMES)
+        predecode.warm_runs(
+            predecode.o3_stream(assembled, seed, mem._line_shift), mem,
+            bpred, -1, class_counts)
+        return sum(class_counts)
 
     def __repr__(self) -> str:
         return "%s(core%d)" % (type(self).__name__, self.core_id)

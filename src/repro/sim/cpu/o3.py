@@ -477,11 +477,14 @@ class O3Cpu(BaseCpu):
         trace rng is drawn identically and the functional instruction
         stream is exact; only *timing* is estimated.  Fast-forward
         regions count instructions without touching microarchitectural
-        state; warm-up regions functionally warm caches/TLBs and train
-        the branch predictor; each detail window hands the runs it
-        covers, cut at its edges, to the full-detail pipeline method,
-        which starts cold (but on a warm memory system), and the
-        windows' CPI extrapolates over the whole stream.
+        state.  Warm-up regions and detail windows gather the runs they
+        cover, cut at their edges, in one loop: a warm-up region hands
+        them to :func:`~repro.sim.isa.predecode.warm_runs`, which warms
+        caches/TLBs and trains the branch predictor as functional
+        warming of a whole request does, and a detail window to the
+        full-detail pipeline method, which starts cold (but on a warm
+        memory system).  The windows' CPI extrapolates over the whole
+        stream.
 
         When a single window covers the whole program the result is
         bit-identical to the full-detail loop (the calibration suite's
@@ -491,10 +494,7 @@ class O3Cpu(BaseCpu):
         mode — sampled timing is an estimate, not an event log.
         """
         mem = self.mem
-        line_shift = mem._line_shift
-        warm_touch = mem.warm_touch
-        predict_and_update = self.bpred.predict_and_update
-        is_branch = InstrClass.BRANCH
+        bpred = self.bpred
 
         instructions = 0
         class_counts = [0] * _NUM_CLASSES
@@ -506,7 +506,7 @@ class O3Cpu(BaseCpu):
         detailed_insts = 0
         windows = 0
         last_commit = 0
-        warm_line = -1
+        fetch_line = -1
 
         placement = sampling.placement_rng(assembled.program.seed, seed)
         segment_iter = sampling.segments(placement)
@@ -531,56 +531,10 @@ class O3Cpu(BaseCpu):
                     instructions += take
                     continue
 
-                if seg_mode == WARMUP:
-                    # Per instance, in stream order: a fetch touch on
-                    # a line change, then the data touch or the branch
-                    # training.  A repeat compute run touches only its
-                    # one fetch line.
-                    (_, icls, pc, pc_line, pcs, _, _, _, _, _, _, memkind,
-                     addrs, takens) = run
-                    class_counts[icls] += take
-                    if pcs is not None or memkind or icls == is_branch:
-                        write = memkind == 2
-                        takens_seq = takens if type(takens) is list else None
-                        for j in range(index, index + take):
-                            if pcs is not None:
-                                pc = pcs[j]
-                                pc_line = pc >> line_shift
-                            if pc_line != warm_line:
-                                warm_touch(pc, True)
-                                warm_line = pc_line
-                            if memkind:
-                                warm_touch(addrs[j], False, write, pc)
-                            elif icls == is_branch:
-                                predict_and_update(
-                                    pc, takens_seq[j] if takens_seq is not None
-                                    else takens)
-                    elif pc_line != warm_line:
-                        warm_touch(pc, True)
-                        warm_line = pc_line
-                    index += take
-                    instructions += take
-                    continue
-
-                # ---- detail window -------------------------------------
-                # The pipeline starts at the extrapolated global cycle,
-                # not 0: timing state keyed on absolute cycles (the DRAM
-                # controller's queue window) must see a monotonic clock,
-                # or every window's misses look clustered with the
-                # previous window's.  The first window starts at 0,
-                # keeping the single-all-covering-window case
-                # bit-identical to full detail.
-                if detailed_insts:
-                    start = int(instructions * detailed_cycles
-                                / detailed_insts)
-                else:
-                    start = instructions
-                if start < last_commit:
-                    start = last_commit
-                # The runs the window covers, cut at its edges.  The
-                # loop goes on from where the window ends: inside ``run``
+                # The runs the region covers, cut at its edges.  The
+                # loop goes on from where the region ends: inside ``run``
                 # when ``index < count``.
-                window = [_cut(run, index, index + take)]
+                region = [_cut(run, index, index + take)]
                 index += take
                 left = room - take
                 while left:
@@ -589,22 +543,44 @@ class O3Cpu(BaseCpu):
                         break
                     count = run[0]
                     if count > left:
-                        window.append(_cut(run, 0, left))
+                        region.append(_cut(run, 0, left))
                         index = left
-                        break
-                    window.append(run)
-                    index = count
-                    left -= count
-                (last_commit, warm_line, window_insts, window_rob,
-                 window_lsq, window_squashes) = self._pipeline(
-                    window, start, class_counts)[:6]
-                rob_stalls += window_rob
-                lsq_stalls += window_lsq
-                squashes += window_squashes
-                detailed_cycles += last_commit - start
-                detailed_insts += window_insts
-                windows += 1
-                instructions += window_insts
+                        left = 0
+                    else:
+                        region.append(run)
+                        index = count
+                        left -= count
+                covered = room - left
+
+                if seg_mode == WARMUP:
+                    fetch_line = predecode.warm_runs(region, mem, bpred,
+                                                     fetch_line, class_counts)
+                else:
+                    # The pipeline starts at the extrapolated global
+                    # cycle, not 0: timing state keyed on absolute cycles
+                    # (the DRAM controller's queue window) must see a
+                    # monotonic clock, or every window's misses look
+                    # clustered with the previous window's.  The first
+                    # window starts at 0, keeping the single
+                    # all-covering-window case bit-identical to full
+                    # detail.
+                    if detailed_insts:
+                        start = int(instructions * detailed_cycles
+                                    / detailed_insts)
+                    else:
+                        start = instructions
+                    if start < last_commit:
+                        start = last_commit
+                    (last_commit, fetch_line, _, window_rob, window_lsq,
+                     window_squashes) = self._pipeline(
+                        region, start, class_counts)[:6]
+                    rob_stalls += window_rob
+                    lsq_stalls += window_lsq
+                    squashes += window_squashes
+                    detailed_cycles += last_commit - start
+                    detailed_insts += covered
+                    windows += 1
+                instructions += covered
                 if run is None:
                     break
 

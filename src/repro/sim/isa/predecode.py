@@ -12,10 +12,12 @@ into flat tuples, and replays those:
   one step per repeat instruction or fetch point, and one step per
   unrolled segment, replayed by one ``CoreMemSystem.replay`` call over
   the segment's I-cache line split,
-* ``warm_run``    — untimed functional warming for ``BaseCpu.warm_program``,
 * ``o3_stream``   — resolved instruction *runs* (one tuple per repeat
   instruction, loop/call edge or unrolled segment) consumed by the O3
-  model's pipeline loops,
+  model's pipeline loop and by the two consumers below,
+* ``warm_runs``   — untimed functional warming over ``o3_stream``'s runs:
+  ``BaseCpu.warm_program`` warms the whole stream and each warm-up
+  region of sampled O3 the runs it covers,
 * ``instructions`` — the dynamic instruction stream, one
   ``(pc, icls, addr, taken)`` per instance, expanded from ``o3_stream``
   for the program report and the validators.
@@ -25,14 +27,15 @@ instructions that each replay once per process, so the Atomic decode
 of an :class:`~repro.sim.isa.base.UnrolledRun` does no per-instance
 work in Python and caches nothing per instance.
 
-Replay is deterministic for a given (program, ISA, seed): every walker
-draws address patterns and branch outcomes from the same trace rng in
-the same order, so the replay modes see one dynamic stream, and a run
+Replay is deterministic for a given (program, ISA, seed): the two
+walkers, ``atomic_run`` and ``o3_stream``, draw address patterns and
+branch outcomes from the same trace rng in the same order, so every
+replay mode sees one dynamic stream, and a run
 makes the same cache/TLB/DRAM accesses at the same cycles and PCs every
 time.  The tier-1 suite pins that behaviour with literal goldens (stat
 dumps, RunResults, memory-call streams and trace event logs) in
 ``tests/sim/test_predecode.py`` and ``tests/sim/test_sampled_goldens.py``.
-Every walker stops at the same call depth, :data:`_MAX_CALL_DEPTH`.
+Both walkers stop at the same call depth, :data:`_MAX_CALL_DEPTH`.
 
 Decoded forms are cached on the ``AssembledProgram`` instance itself
 (keyed by consumer and line granularity), so they share the lifetime of
@@ -44,7 +47,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.isa import ir
@@ -412,216 +415,6 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Functional warming replay
-# ---------------------------------------------------------------------------
-#
-# Decoded step vocabulary:
-#   (0, pc, line)                        warm ifetch on line change
-#   (1, write, pc, addrs)                memory run, precomputed addresses
-#   (2, write, pc, region, pattern, n)   memory run, rng-drawn addresses
-#   (3, pc, n)                           always-taken branch (trains bpred)
-#   (4, pc, n, p)                        probabilistic branch (draws always,
-#                                        trains bpred when attached)
-#   (5, write, pairs)                    memory run, precomputed (pc, addr)
-#                                        pairs spanning several static
-#                                        instructions (unrolled lowering)
-
-
-def _decode_warm_run(run, line_shift, append, prev_line):
-    """Decode one :class:`UnrolledRun` for warming."""
-    icls = run.icls
-    pc = run.base_pc
-    sizes = run.sizes
-    if icls == _LOAD or icls == _STORE:
-        write = icls == _STORE
-        region = run.region
-        pattern = run.pattern
-        addrs = _stride_addrs(region, pattern, len(sizes))
-        if addrs is not None:
-            pairs: List[tuple] = []
-            for size, addr in zip(sizes, addrs):
-                line = pc >> line_shift
-                if line != prev_line:
-                    if pairs:
-                        append((5, write, tuple(pairs)))
-                        pairs = []
-                    append((0, pc, line))
-                    prev_line = line
-                pairs.append((pc, addr))
-                pc += size
-            if pairs:
-                append((5, write, tuple(pairs)))
-        else:
-            for size in sizes:
-                line = pc >> line_shift
-                if line != prev_line:
-                    append((0, pc, line))
-                    prev_line = line
-                append((2, write, pc, region, pattern, 1))
-                pc += size
-    elif icls == _BRANCH:
-        taken = run.probability >= 1.0
-        probability = run.probability
-        for size in sizes:
-            line = pc >> line_shift
-            if line != prev_line:
-                append((0, pc, line))
-                prev_line = line
-            if taken:
-                append((3, pc, 1))
-            else:
-                append((4, pc, 1, probability))
-            pc += size
-    else:  # compute: only fetch points matter for warming
-        for pc in _split_lines(pc, sizes, line_shift)[0]:
-            line = pc >> line_shift
-            if line != prev_line:
-                append((0, pc, line))
-                prev_line = line
-    return prev_line
-
-
-def _decode_warm_block(block, line_shift: int):
-    steps: List[tuple] = []
-    append = steps.append
-    count = 0
-    prev_line = -1
-    for segment in block.segments:
-        if type(segment) is UnrolledRun:
-            count += segment.count
-            prev_line = _decode_warm_run(segment, line_shift, append,
-                                         prev_line)
-            continue
-        for instr in segment:
-            pc = instr.pc
-            line = pc >> line_shift
-            if line != prev_line:
-                append((0, pc, line))
-                prev_line = line
-            icls = instr.icls
-            n = instr.repeat
-            count += n
-            if instr.is_mem:
-                write = icls == _STORE
-                addrs = _stride_addrs(instr.region, instr.pattern, n)
-                if addrs is not None:
-                    append((1, write, pc, addrs))
-                else:
-                    append((2, write, pc, instr.region, instr.pattern, n))
-            elif icls == _BRANCH:
-                if instr.taken_probability >= 1.0:
-                    append((3, pc, n))
-                else:
-                    append((4, pc, n, instr.taken_probability))
-    return steps, count
-
-
-def warm_run(assembled, seed: int, mem, bpred=None) -> int:
-    """Untimed functional pass; returns the instruction count.
-
-    Mirrors ``BaseCpu.warm_program``: caches and TLBs update on the same
-    access stream, the branch predictor (when supplied) trains on every
-    branch outcome, and the trace rng is consumed as in every other
-    replay — branch probability draws happen whether or not a predictor
-    is attached.
-    """
-    rng = random.Random("%d|%d|trace" % (assembled.program.seed, seed))
-    rng_random = rng.random
-    line_shift = mem._line_shift
-    warm_touch = mem.warm_touch
-    predict = bpred.predict_and_update if bpred is not None else None
-    blocks = _cache_for(assembled, ("warm", line_shift))
-    routines = assembled.routines
-    total = [0]
-    stats = STATS
-
-    def run_body(body, current_line, depth):
-        for node in body:
-            kind = type(node)
-            if kind is AssembledBlock:
-                decoded = blocks.get(id(node))
-                if decoded is None:
-                    stats["decoded_blocks"] += 1
-                    decoded = blocks[id(node)] = _decode_warm_block(
-                        node, line_shift)
-                steps, block_count = decoded
-                total[0] += block_count
-                for step in steps:
-                    tag = step[0]
-                    if tag == 1:
-                        write = step[1]
-                        pc = step[2]
-                        for addr in step[3]:
-                            warm_touch(addr, False, write, pc)
-                    elif tag == 0:
-                        line = step[2]
-                        if line != current_line:
-                            warm_touch(step[1], True)
-                            current_line = line
-                    elif tag == 2:
-                        write = step[1]
-                        pc = step[2]
-                        region = step[3]
-                        base = region.base
-                        for offset in step[4].offsets(region, step[5], rng):
-                            warm_touch(base + offset, False, write, pc)
-                    elif tag == 3:
-                        if predict is not None:
-                            pc = step[1]
-                            for _ in range(step[2]):
-                                predict(pc, True)
-                    elif tag == 5:
-                        write = step[1]
-                        for pc, addr in step[2]:
-                            warm_touch(addr, False, write, pc)
-                    else:  # tag == 4
-                        pc = step[1]
-                        probability = step[3]
-                        if predict is not None:
-                            for _ in range(step[2]):
-                                predict(pc, rng_random() < probability)
-                        else:
-                            for _ in range(step[2]):
-                                rng_random()
-            elif kind is AssembledLoop:
-                backedge = node.backedge
-                bpc = backedge.pc
-                bline = bpc >> line_shift
-                body_nodes = node.body
-                last = node.trips - 1
-                for trip in range(node.trips):
-                    current_line = run_body(body_nodes, current_line, depth)
-                    if bline != current_line:
-                        warm_touch(bpc, True)
-                        current_line = bline
-                    if predict is not None:
-                        predict(bpc, trip != last)
-                total[0] += node.trips
-            elif kind is AssembledCall:
-                line = node.call_instr.pc >> line_shift
-                if line != current_line:
-                    warm_touch(node.call_instr.pc, True)
-                    current_line = line
-                if depth >= _MAX_CALL_DEPTH:
-                    raise RecursionError(
-                        "call depth exceeded %d in %r"
-                        % (_MAX_CALL_DEPTH, node.routine))
-                current_line = run_body(
-                    routines[node.routine].body, current_line, depth + 1)
-                line = node.ret_instr.pc >> line_shift
-                if line != current_line:
-                    warm_touch(node.ret_instr.pc, True)
-                    current_line = line
-                total[0] += 2
-            else:
-                raise TypeError("unknown assembled node %r" % (node,))
-        return current_line
-
-    run_body(routines[assembled.entry].body, -1, 0)
-    return total[0]
-
-
-# ---------------------------------------------------------------------------
 # O3 run stream
 # ---------------------------------------------------------------------------
 #
@@ -783,8 +576,9 @@ def _decode_o3_block(block, line_shift):
 def o3_stream(assembled, seed, line_shift) -> Iterator[tuple]:
     """The O3 model's instruction-run stream.
 
-    Both the full-detail pipeline and the sampled fast-forward, warm-up
-    and detail windows consume this stream, so every O3 execution mode
+    The full-detail pipeline, the sampled fast-forward, warm-up and
+    detail windows, and functional warming (:func:`warm_runs`) consume
+    this stream, so every O3 execution mode and every warmed request
     sees the same runs.
     """
     rng = random.Random("%d|%d|trace" % (assembled.program.seed, seed))
@@ -849,6 +643,68 @@ def o3_stream(assembled, seed, line_shift) -> Iterator[tuple]:
                 raise TypeError("unknown assembled node %r" % (node,))
 
     return run_body(routines[assembled.entry].body, 0)
+
+
+def warm_runs(runs, mem, bpred, current_line, class_counts) -> int:
+    """Untimed functional warming over O3 runs; returns the last line.
+
+    Per instance, in stream order: a fetch touch when the I-cache line
+    changes from ``current_line`` (-1 for none), then a load's or
+    store's data touch or, when ``bpred`` is given, a branch's
+    training on its outcome.  Each run's instance count is added to
+    ``class_counts``.  :func:`o3_stream` draws the trace rng whether or
+    not a predictor trains, and neither touch reads it, so warming sees
+    the stream every replay mode sees.  One loop per run kind keeps the
+    per-instance work to what that kind warms.
+    """
+    line_shift = mem._line_shift
+    warm_touch = mem.warm_touch
+    predict = bpred.predict_and_update if bpred is not None else None
+    for run in runs:
+        (count, icls, pc, line, pcs, _, _, _, _, _, _, memkind, addrs,
+         takens) = run
+        class_counts[icls] += count
+        if predict is None:
+            takens = None
+        if pcs is None:
+            # A repeat instruction or an edge: every instance at one PC.
+            if line != current_line:
+                warm_touch(pc, True)
+                current_line = line
+            if memkind:
+                write = memkind == 2
+                for addr in addrs:
+                    warm_touch(addr, False, write, pc)
+            elif type(takens) is list:
+                for taken in takens:
+                    predict(pc, taken)
+            elif takens is not None:
+                for _ in range(count):
+                    predict(pc, takens)
+        elif memkind:
+            write = memkind == 2
+            for pc, addr in zip(pcs, addrs):
+                line = pc >> line_shift
+                if line != current_line:
+                    warm_touch(pc, True)
+                    current_line = line
+                warm_touch(addr, False, write, pc)
+        elif takens is not None:
+            if type(takens) is not list:
+                takens = repeat(takens)
+            for pc, taken in zip(pcs, takens):
+                line = pc >> line_shift
+                if line != current_line:
+                    warm_touch(pc, True)
+                    current_line = line
+                predict(pc, taken)
+        else:
+            for pc in pcs:
+                line = pc >> line_shift
+                if line != current_line:
+                    warm_touch(pc, True)
+                    current_line = line
+    return current_line
 
 
 def instructions(assembled,

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.attribution import CacheProfiler
+from repro.sim.cpu.o3 import _cut
 from repro.sim.isa import ir, predecode
 from repro.sim.isa.base import AssembledBlock, InstrClass, UnrolledRun
 from repro.sim.isa.predecode import _MAX_CALL_DEPTH
@@ -705,6 +706,28 @@ class TestO3Runs:
             predecode.program_length(assembled)
 
 
+class TestWarmRuns:
+    """Functional warming rides on the O3 run stream."""
+
+    @pytest.mark.parametrize("shape", ["build", "unrolled"])
+    def test_warming_shares_the_o3_decode(self, shape):
+        """Warming and then running a program on O3 decodes exactly the
+        blocks an O3 run alone decodes: warming has no decode of its
+        own."""
+        make, seed = WARM_SHAPES[shape]
+
+        def decoded(warm_first):
+            system = system_for("riscv")
+            assembled = system.isa.assemble(make(seed=seed))
+            before = predecode.STATS["decoded_blocks"]
+            if warm_first:
+                system.cpu(1, "atomic").warm_program(assembled, seed)
+            system.cpu(1, "o3").run_program(assembled, seed)
+            return predecode.STATS["decoded_blocks"] - before
+
+        assert decoded(True) == decoded(False) > 0
+
+
 class TestAtomicSteps:
     """The shape of the Atomic step list: one step per unrolled segment,
     holding at most one entry per I-cache line."""
@@ -883,6 +906,62 @@ def test_property_replay_consistent(isa, seed, trips, taken_probability,
         first = replay(program, isa, model, seed)
         assert first[0 if model == "warm" else 1] == length
         assert replay(program, isa, model, seed) == first
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(WARM_SHAPES)),
+    isa=st.sampled_from(ISAS),
+    predictor=st.booleans(),
+    data=st.data(),
+)
+def test_property_warming_is_cut_invariant(shape, isa, predictor, data):
+    """Warming a program's O3 runs whole equals warming them cut at
+    arbitrary instance boundaries (``o3._cut``, as sampled windows cut
+    them) and grouped into arbitrary regions, with the fetch line
+    threaded from region to region: the same line, class counts, state
+    and stat dump."""
+    make, seed = WARM_SHAPES[shape]
+    program = make(seed=seed)
+
+    def warm(regions_of):
+        system = system_for(isa)
+        bpred = system.cpu(1, "o3").bpred if predictor else None
+        mem = system.cores[1]
+        runs = list(predecode.o3_stream(system.assemble(program), seed,
+                                        mem._line_shift))
+        line = -1
+        counts = [0] * len(InstrClass.NAMES)
+        for region in regions_of(runs):
+            line = predecode.warm_runs(region, mem, bpred, line, counts)
+        return line, counts, repr(system.state_dict()), system.dump_stats()
+
+    def cut_regions(runs):
+        total = sum(run[0] for run in runs)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=1, max_value=total - 1), unique=True,
+            max_size=40), label="cuts"))
+        pieces = []
+        offset = 0
+        for run in runs:
+            count = run[0]
+            edges = [cut - offset for cut in cuts
+                     if offset < cut < offset + count]
+            for start, stop in zip([0] + edges, edges + [count]):
+                pieces.append(_cut(run, start, stop))
+            offset += count
+        regions = []
+        while pieces:
+            size = data.draw(st.integers(min_value=1, max_value=8),
+                             label="region")
+            regions.append(pieces[:size])
+            pieces = pieces[size:]
+        return regions
+
+    whole = warm(lambda runs: [runs])
+    assert sum(whole[1]) == predecode.program_length(
+        system_for(isa).assemble(program))
+    assert warm(cut_regions) == whole
 
 
 class TestTracedEquivalence:
