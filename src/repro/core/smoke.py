@@ -167,11 +167,9 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
 
     config = SamplingConfig.parse(sampling)
     if config is not None:
-        # Untimed warmup pass: the sampled path has one-time costs of
-        # its own (warm-path decode the full-detail phase never ran),
-        # which would otherwise land inside the timed window.  The
-        # phase's contract is the warm simulation hot loop, so pay them
-        # here.
+        # Untimed warmup pass: any one-time cost of the sampled path
+        # would otherwise land inside the timed window.  The phase's
+        # contract is the warm simulation hot loop, so pay it here.
         _run_batches(jobs, cache, sampling=config)
         sampled_batches, _, sampled_wall = _run_batches(
             jobs, cache, sampling=config)

@@ -666,6 +666,8 @@ def warm_runs(runs, mem, bpred, current_line, class_counts) -> int:
         class_counts[icls] += count
         if predict is None:
             takens = None
+        elif type(takens) is bool:
+            takens = repeat(takens, count)
         if pcs is None:
             # A repeat instruction or an edge: every instance at one PC.
             if line != current_line:
@@ -675,12 +677,9 @@ def warm_runs(runs, mem, bpred, current_line, class_counts) -> int:
                 write = memkind == 2
                 for addr in addrs:
                     warm_touch(addr, False, write, pc)
-            elif type(takens) is list:
+            elif takens is not None:
                 for taken in takens:
                     predict(pc, taken)
-            elif takens is not None:
-                for _ in range(count):
-                    predict(pc, takens)
         elif memkind:
             write = memkind == 2
             for pc, addr in zip(pcs, addrs):
@@ -690,8 +689,6 @@ def warm_runs(runs, mem, bpred, current_line, class_counts) -> int:
                     current_line = line
                 warm_touch(addr, False, write, pc)
         elif takens is not None:
-            if type(takens) is not list:
-                takens = repeat(takens)
             for pc, taken in zip(pcs, takens):
                 line = pc >> line_shift
                 if line != current_line:

@@ -5,7 +5,9 @@ call depths.
 
 Every golden was captured from the per-instruction trace walker that
 was the reference replay until it was retired; predecode replay matched
-it bit for bit.  A hypothesis property checks what needs no oracle.
+it bit for bit.  The warm end-state goldens were captured from the
+warm-only decoder that functional warming used before it moved onto the
+O3 run stream.  Hypothesis properties check what needs no oracle.
 """
 
 import hashlib
