@@ -30,6 +30,42 @@ REPORT_DIGESTS = {
     ("hotel-geo-go", "arm"): "6121ea55bd8965aa",
 }
 
+#: ``trace`` arguments -> (SHA-256 prefix of its stdout, the stdout's
+#: ``pipeline`` rows), on real programs whose compute runs are long:
+#: the stall rows are the only output that sees the five stall sums.
+TRACE_GOLDENS = {
+    ("fibonacci", "--isa", "riscv64", "--time-scale", "2048",
+     "--space-scale", "32"): ("4582cc1e03719b0a", (
+         "pipeline       operand-wait                                 2"
+         "        22545  226.9%",
+         "pipeline       o3.run                                       2"
+         "         7702   77.5%",
+         "pipeline       commit-stall                                 2"
+         "         7659   77.1%",
+         "pipeline       fetch-stall                                  1"
+         "         5998   60.4%",
+         "pipeline       fu-wait                                      2"
+         "         3639   36.6%",
+         "pipeline       dispatch-stall                               2"
+         "         1416   14.3%",
+     )),
+    ("hotel-profile-go", "--time-scale", "256", "--space-scale", "16"): (
+        "483ad6109ad7c62c", (
+            "pipeline       operand-wait                                 2"
+            "      9229416 1332.0%",
+            "pipeline       o3.run                                       2"
+            "       660218   95.3%",
+            "pipeline       commit-stall                                 2"
+            "       659976   95.3%",
+            "pipeline       fetch-stall                                  2"
+            "       580998   83.9%",
+            "pipeline       fu-wait                                      2"
+            "        80945   11.7%",
+            "pipeline       dispatch-stall                               2"
+            "        66814    9.6%",
+        )),
+}
+
 
 @pytest.fixture(autouse=True)
 def _fresh_checkpoints():
@@ -131,6 +167,16 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == \
             REPORT_DIGESTS[function, isa]
+
+    @pytest.mark.parametrize("argv", sorted(TRACE_GOLDENS))
+    def test_trace_output_pinned(self, capsys, argv):
+        """The traced run's stdout, its stall rows included."""
+        assert main(["trace"] + list(argv)) == 0
+        out = capsys.readouterr().out
+        digest, rows = TRACE_GOLDENS[argv]
+        assert tuple(line for line in out.splitlines()
+                     if line.startswith("pipeline ")) == rows
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_unknown_function_fails_cleanly(self):
         with pytest.raises(SystemExit):
