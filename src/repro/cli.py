@@ -293,7 +293,10 @@ def cmd_dse(args) -> int:
                 values.append(int(token))
             except ValueError:
                 values.append(token)
-        space.axis(name, values)
+        try:
+            space.axis(name, values)
+        except ValueError as error:
+            raise SystemExit("--axis %s: %s" % (axis_spec, error))
     result = space.sweep(function, jobs=args.jobs, cache=_cache_from(args))
     print(result.render())
     print()

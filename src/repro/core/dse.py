@@ -132,12 +132,20 @@ class DesignSpace:
         self._axes: List[Tuple[str, Sequence[Any]]] = []
 
     def axis(self, name: str, values: Iterable[Any]) -> "DesignSpace":
-        """Add a sweep axis; returns self for chaining."""
+        """Add a sweep axis; returns self for chaining.
+
+        An O3 pipeline value is checked here, as :class:`O3Config`
+        checks it, so a bad one fails before any point runs.
+        """
         if name not in KNOWN_AXES:
             raise ValueError("unknown axis %r; have %s" % (name, sorted(KNOWN_AXES)))
         values = list(values)
         if not values:
             raise ValueError("axis %r needs at least one value" % name)
+        target, attribute = KNOWN_AXES[name]
+        if target == "o3":
+            for value in values:
+                O3Config(**{attribute: value})
         self._axes.append((name, values))
         return self
 

@@ -17,13 +17,19 @@ the effects the thesis's figures are built on.
 
 One method, :meth:`O3Cpu._pipeline`, holds the pipeline: full detail
 runs it once over the whole stream, and sampled simulation
-(:mod:`repro.sim.sampling`) runs it once per detail window.
+(:mod:`repro.sim.sampling`) runs it once per detail window.  It replays
+a compute run by the chunk (see :func:`_chunk_state`): an unrolled run
+one I-cache line at a time, each line's outcome memoized by the state
+it starts from, and a repeat run until a chunk leaves the state it
+found, when every remaining whole chunk is applied in one step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from heapq import heapreplace
+from math import lcm
 from typing import Optional
 
 from repro.obs.tracer import (
@@ -82,6 +88,23 @@ class O3Config:
         self.fp_units = fp_units
         self.mem_ports = mem_ports
         self.branch_predictor = branch_predictor
+        for name in _POSITIVE_FIELDS:
+            _check_count(name, getattr(self, name), 1)
+        for name in ("frontend_depth", "mispredict_penalty"):
+            _check_count(name, getattr(self, name), 0)
+
+
+#: Sizes and widths a pipeline needs at least one of.
+_POSITIVE_FIELDS = ("rob_entries", "lq_entries", "sq_entries", "int_regs",
+                    "float_regs", "dispatch_width", "commit_width",
+                    "int_alus", "int_mult_units", "int_div_units",
+                    "fp_units", "mem_ports")
+
+
+def _check_count(name, value, least):
+    if type(value) is not int or value < least:
+        raise ValueError("O3Config.%s must be an integer >= %d, got %r"
+                         % (name, least, value))
 
 
 _NUM_CLASSES = len(InstrClass.NAMES)
@@ -133,6 +156,49 @@ def _cut(run, start, stop):
             serializing, latency, busy, memkind, addrs, takens)
 
 
+def _chunk_state(now, ready, dispatch_slots, commit_cycle, commit_slots,
+                 rob, free, reg_ready, regs) -> tuple:
+    """A compute chunk's pipeline state, relative to dispatch cycle ``now``.
+
+    A compute chunk makes no memory-system or predictor call (its line
+    is fetched before it) and reads and writes only the state below, so
+    this tuple and the run's static timing fields decide its outcome;
+    the loop's arithmetic is invariant under a shift of every cycle.
+    ``ready`` is the front end's restart cycle (line ready or redirect).
+    The dispatch cycle never decreases, so a restart at or before
+    ``now`` can no longer delay a dispatch and an FU or register free
+    at ``now + 1`` or before is as free as at ``now + 1``: those cycles
+    are clipped, and ROB entries at or before ``now`` are popped here,
+    as the next dispatch would pop them.  The FU pool is a sorted
+    multiset, since issue only ever takes its minimum.  The commit
+    cycle stays exact, however stale: the first commit's stall is the
+    gap from it.
+    """
+    popleft = rob.popleft
+    while rob and rob[0] <= now:
+        popleft()
+    floor = now + 1
+    return (ready - now if ready > now else 0, dispatch_slots,
+            commit_cycle - now, commit_slots,
+            tuple(map(now.__rsub__, rob)),
+            tuple(sorted([cycle - now if cycle > floor else 1
+                          for cycle in free])),
+            tuple([reg_ready[reg] - now if reg_ready[reg] > floor else 1
+                   for reg in regs]))
+
+
+def _run_statics(ident, fields, dispatch_width) -> tuple:
+    """A compute run's chunking entry: ``ident`` for its static timing
+    ``fields`` (class, lanes, latency, busy), the registers its lanes
+    read or write, and its repeat-chunk length."""
+    regs = set()
+    for lane_srcs, lane_dst in fields[1]:
+        regs.update(lane_srcs)
+        if lane_dst >= 0:
+            regs.add(lane_dst)
+    return ident, tuple(sorted(regs)), lcm(len(fields[1]), dispatch_width)
+
+
 class O3Cpu(BaseCpu):
     """Detailed out-of-order core model."""
 
@@ -179,12 +245,13 @@ class O3Cpu(BaseCpu):
         and scoreboard, idle functional units and no fetched line.  Full
         detail runs it once over the whole stream from cycle 0; sampled
         mode runs it once per detail window.  Each run's instance count
-        is added to ``class_counts``.  Returns the end state::
+        is added to ``class_counts``.  Returns the end state and, last,
+        how many instances came from the memo or a fixed point::
 
             (last_commit, fetch_line, instructions, rob_stalls,
              lsq_stalls, squashes, fetch_stall_cycles,
              dispatch_stall_cycles, operand_wait_cycles, fu_wait_cycles,
-             commit_stall_cycles)
+             commit_stall_cycles, replayed)
 
         The stall attribution accumulators are plain integer adds kept
         unconditionally, so one loop serves traced and untraced runs,
@@ -194,8 +261,23 @@ class O3Cpu(BaseCpu):
         instruction, a loop/call edge or a whole unrolled segment; the
         fetch check runs before each instance's dispatch, on that
         instance's PC (``pcs[index]`` for a segment), so it fetches
-        exactly where one run per instance would.  The tier-1 suite pins
-        its results with literal goldens.
+        exactly where one run per instance would.
+
+        A compute run (no data access, branch or serialization) replays
+        by the chunk.  Its instance that changes the I-cache line runs
+        alone and fetches the line, so a chunk never calls the memory
+        system.  The rest of an unrolled run's line is one chunk, whose
+        outcome (dispatch advance, end state and stall-sum deltas) is
+        memoized, keyed by the run's static fields, the lane phase, the
+        chunk length and :func:`_chunk_state`.  A repeat run of at least
+        two chunks of lcm(lanes, dispatch width) instances steps chunk
+        by chunk until one leaves the state it found, shifted by its
+        advance: every remaining whole chunk then does the same, and all
+        of them apply in one step.  A chunk that would reach the next
+        counter sample runs instance by instance, so traced runs sample
+        the same counters.  The memo lives for one call.  The tier-1
+        suite pins the results with literal goldens and checks them
+        against the per-instance loop.
         """
         base = tracer.now if tracer is not None else 0
         cfg = self.config
@@ -263,6 +345,15 @@ class O3Cpu(BaseCpu):
         commit_stall_cycles = 0
         next_sample = _SAMPLE_PERIOD if tracer is not None else (1 << 62)
 
+        # Chunked compute replay: static fields -> (id, registers,
+        # repeat-chunk length), and the line-chunk memo.
+        statics = {}
+        memo = {}
+        replayed = 0
+        # A repeat chunk is at least ``dispatch_width`` long, and a
+        # repeat run needs two of them to reach a fixed point.
+        least_repeat = 2 * dispatch_width
+
         for run in runs:
             (count, icls, pc, pc_line, pcs, srcs, dst, lanes, serializing,
              op_latency, busy, memkind, addrs, takens) = run
@@ -271,139 +362,248 @@ class O3Cpu(BaseCpu):
             lanes_len = len(lanes) if lanes is not None else 0
             takens_seq = takens if type(takens) is list else None
 
-            for index in range(count):
-                # ---- fetch: on each change of I-cache line -------------
-                if pcs is not None:
-                    pc = pcs[index]
-                    pc_line = pc >> line_shift
-                if pc_line != current_line:
-                    fetch_start = dispatch_cycle if dispatch_cycle > redirect_at else redirect_at
-                    latency = ifetch(pc, fetch_start)
-                    miss_extra = latency - l1_latency
-                    line_ready = fetch_start + (miss_extra if miss_extra > 0 else 0)
-                    current_line = pc_line
+            static = None
+            if not (memkind or branch_run or serializing) and (
+                    pcs is not None or count >= least_repeat):
+                fields = (icls, lanes or ((srcs, dst),), op_latency, busy)
+                entry = statics.get(fields)
+                if entry is None:
+                    entry = statics[fields] = _run_statics(
+                        len(statics), fields, dispatch_width)
+                static, regs, period = entry
+                if pcs is None and count < 2 * period:
+                    static = None
 
-                earliest_dispatch = line_ready if line_ready > redirect_at else redirect_at
+            lo = 0
+            while lo < count:
+                # Instances ``lo`` to ``hi``: the whole run, or for a
+                # compute run a line's first instance, which fetches the
+                # line, or the rest of the line or a repeat chunk.
+                hi = count
+                state = outcome = None
+                if static is not None:
+                    line = pc_line if pcs is None else pcs[lo] >> line_shift
+                    if line != current_line:
+                        hi = lo + 1
+                    elif pcs is not None:
+                        hi = bisect_left(pcs, (line + 1) << line_shift,
+                                         lo + 1, count)
+                    elif count - lo >= period:
+                        hi = lo + period
+                    n = hi - lo
+                    if line == current_line and (pcs is not None
+                                                 or n == period) \
+                            and instructions + n < next_sample:
+                        while rob and rob[0] <= dispatch_cycle:
+                            rob_popleft()
+                        # A memo hit rebuilds the whole ROB, which costs
+                        # more than it saves once the ROB holds more than
+                        # twice the chunk's instances: such a line runs
+                        # per instance.
+                        if pcs is None or len(rob) <= 2 * n:
+                            state = _chunk_state(
+                                dispatch_cycle, line_ready if line_ready >
+                                redirect_at else redirect_at, dispatch_slots,
+                                commit_cycle, commit_slots, rob, free,
+                                reg_ready, regs)
+                            if pcs is not None:
+                                key = (static,
+                                       lo % lanes_len if lanes_len else 0,
+                                       n, state)
+                                outcome = memo.get(key)
+                            if outcome is None:
+                                begin = dispatch_cycle
+                                sums = (fetch_stall_cycles,
+                                        dispatch_stall_cycles,
+                                        operand_wait_cycles, fu_wait_cycles,
+                                        commit_stall_cycles, rob_stalls)
 
-                # ---- dispatch (in-order, width-limited) ----------------
-                if earliest_dispatch > dispatch_cycle:
-                    fetch_stall_cycles += earliest_dispatch - dispatch_cycle
-                    dispatch_cycle = earliest_dispatch
-                    dispatch_slots = 1
-                elif dispatch_slots < dispatch_width:
-                    dispatch_slots += 1
-                else:
-                    dispatch_cycle += 1
-                    dispatch_slots = 1
+                if outcome is None:
+                    for index in range(lo, hi):
+                        # ---- fetch: on each change of I-cache line -----
+                        if pcs is not None:
+                            pc = pcs[index]
+                            pc_line = pc >> line_shift
+                        if pc_line != current_line:
+                            fetch_start = dispatch_cycle if dispatch_cycle > redirect_at else redirect_at
+                            latency = ifetch(pc, fetch_start)
+                            miss_extra = latency - l1_latency
+                            line_ready = fetch_start + (miss_extra if miss_extra > 0 else 0)
+                            current_line = pc_line
 
-                # ROB occupancy.
-                while rob and rob[0] <= dispatch_cycle:
-                    rob_popleft()
-                if len(rob) >= rob_entries:
-                    stall_until = rob_popleft()
-                    if stall_until > dispatch_cycle:
-                        dispatch_stall_cycles += stall_until - dispatch_cycle
-                        dispatch_cycle = stall_until
-                        dispatch_slots = 1
-                    rob_stalls += 1
+                        earliest_dispatch = line_ready if line_ready > redirect_at else redirect_at
 
-                # LSQ occupancy.
-                if memkind == 1:
-                    while load_queue and load_queue[0] <= dispatch_cycle:
-                        lq_popleft()
-                    if len(load_queue) >= lq_entries:
-                        stall_until = lq_popleft()
-                        if stall_until > dispatch_cycle:
-                            dispatch_stall_cycles += stall_until - dispatch_cycle
-                            dispatch_cycle = stall_until
+                        # ---- dispatch (in-order, width-limited) --------
+                        if earliest_dispatch > dispatch_cycle:
+                            fetch_stall_cycles += earliest_dispatch - dispatch_cycle
+                            dispatch_cycle = earliest_dispatch
                             dispatch_slots = 1
-                        lsq_stalls += 1
-                elif memkind == 2:
-                    while store_queue and store_queue[0] <= dispatch_cycle:
-                        sq_popleft()
-                    if len(store_queue) >= sq_entries:
-                        stall_until = sq_popleft()
-                        if stall_until > dispatch_cycle:
-                            dispatch_stall_cycles += stall_until - dispatch_cycle
-                            dispatch_cycle = stall_until
+                        elif dispatch_slots < dispatch_width:
+                            dispatch_slots += 1
+                        else:
+                            dispatch_cycle += 1
                             dispatch_slots = 1
-                        lsq_stalls += 1
 
-                if serializing and last_commit > dispatch_cycle:
-                    # Serializing ops wait for the pipeline to drain.
-                    dispatch_stall_cycles += last_commit - dispatch_cycle
-                    dispatch_cycle = last_commit
-                    dispatch_slots = 1
+                        # ROB occupancy.
+                        while rob and rob[0] <= dispatch_cycle:
+                            rob_popleft()
+                        if len(rob) >= rob_entries:
+                            stall_until = rob_popleft()
+                            if stall_until > dispatch_cycle:
+                                dispatch_stall_cycles += stall_until - dispatch_cycle
+                                dispatch_cycle = stall_until
+                                dispatch_slots = 1
+                            rob_stalls += 1
 
-                # ---- issue (out-of-order) ------------------------------
-                if lanes_len:
-                    srcs, dst = lanes[index % lanes_len]
-                ready = dispatch_cycle + 1
-                for src in srcs:
-                    src_ready = reg_ready[src]
-                    if src_ready > ready:
-                        ready = src_ready
-                operand_wait_cycles += ready - dispatch_cycle - 1
+                        # LSQ occupancy.
+                        if memkind == 1:
+                            while load_queue and load_queue[0] <= dispatch_cycle:
+                                lq_popleft()
+                            if len(load_queue) >= lq_entries:
+                                stall_until = lq_popleft()
+                                if stall_until > dispatch_cycle:
+                                    dispatch_stall_cycles += stall_until - dispatch_cycle
+                                    dispatch_cycle = stall_until
+                                    dispatch_slots = 1
+                                lsq_stalls += 1
+                        elif memkind == 2:
+                            while store_queue and store_queue[0] <= dispatch_cycle:
+                                sq_popleft()
+                            if len(store_queue) >= sq_entries:
+                                stall_until = sq_popleft()
+                                if stall_until > dispatch_cycle:
+                                    dispatch_stall_cycles += stall_until - dispatch_cycle
+                                    dispatch_cycle = stall_until
+                                    dispatch_slots = 1
+                                lsq_stalls += 1
 
-                # ``busy`` is 1 for loads and stores: a port for a cycle.
-                issue = free[0]
-                if ready > issue:
-                    issue = ready
-                heapreplace(free, issue + busy)
-                if memkind == 1:
-                    latency = data_access(addrs[index], False, issue, pc)
-                    complete = issue + latency
-                    lq_append(complete)
-                elif memkind == 2:
-                    data_access(addrs[index], True, issue, pc)
-                    complete = issue + 1
-                    sq_append(complete)
+                        if serializing and last_commit > dispatch_cycle:
+                            # Serializing ops wait for the pipeline to drain.
+                            dispatch_stall_cycles += last_commit - dispatch_cycle
+                            dispatch_cycle = last_commit
+                            dispatch_slots = 1
+
+                        # ---- issue (out-of-order) ----------------------
+                        if lanes_len:
+                            srcs, dst = lanes[index % lanes_len]
+                        ready = dispatch_cycle + 1
+                        for src in srcs:
+                            src_ready = reg_ready[src]
+                            if src_ready > ready:
+                                ready = src_ready
+                        operand_wait_cycles += ready - dispatch_cycle - 1
+
+                        # ``busy`` is 1 for loads and stores: a port for a
+                        # cycle.
+                        issue = free[0]
+                        if ready > issue:
+                            issue = ready
+                        heapreplace(free, issue + busy)
+                        if memkind == 1:
+                            latency = data_access(addrs[index], False, issue, pc)
+                            complete = issue + latency
+                            lq_append(complete)
+                        elif memkind == 2:
+                            data_access(addrs[index], True, issue, pc)
+                            complete = issue + 1
+                            sq_append(complete)
+                        else:
+                            complete = issue + op_latency
+                            if branch_run:
+                                taken = takens_seq[index] if takens_seq is not None else takens
+                                if not predict_and_update(pc, taken):
+                                    squash_at = complete + mispredict_penalty
+                                    if squash_at > redirect_at:
+                                        redirect_at = squash_at
+                                    squashes += 1
+                        if issue > ready:
+                            fu_wait_cycles += issue - ready
+
+                        if dst >= 0:
+                            reg_ready[dst] = complete
+
+                        # ---- commit (in-order, width-limited) ----------
+                        earliest_commit = complete + 1
+                        if last_commit > earliest_commit:
+                            earliest_commit = last_commit
+                        if earliest_commit > commit_cycle:
+                            commit_stall_cycles += earliest_commit - commit_cycle
+                            commit_cycle = earliest_commit
+                            commit_slots = 1
+                        elif commit_slots < commit_width:
+                            commit_slots += 1
+                        else:
+                            commit_cycle += 1
+                            commit_slots = 1
+                        last_commit = commit_cycle
+                        rob_append(commit_cycle)
+
+                        instructions += 1
+                        if instructions >= next_sample:
+                            next_sample += _SAMPLE_PERIOD
+                            tracer.counter("o3.core%d" % self.core_id,
+                                           base + commit_cycle,
+                                           {"instructions": instructions,
+                                            "robStalls": rob_stalls,
+                                            "lsqStalls": lsq_stalls,
+                                            "squashes": squashes})
+                    lo = hi
+                    if state is None:
+                        continue
+                    post = _chunk_state(
+                        dispatch_cycle, line_ready if line_ready >
+                        redirect_at else redirect_at, dispatch_slots,
+                        commit_cycle, commit_slots, rob, free, reg_ready,
+                        regs)
+                    outcome = (dispatch_cycle - begin, post, (
+                        fetch_stall_cycles - sums[0],
+                        dispatch_stall_cycles - sums[1],
+                        operand_wait_cycles - sums[2],
+                        fu_wait_cycles - sums[3],
+                        commit_stall_cycles - sums[4],
+                        rob_stalls - sums[5]))
+                    if pcs is not None:
+                        memo[key] = outcome
+                        continue
+                    if post != state:
+                        continue
+                    # A fixed point: every remaining whole chunk before
+                    # the next counter sample does what this one did.
+                    times = (count - lo) // n
+                    room = (next_sample - 1 - instructions) // n
+                    if room < times:
+                        times = room
+                    if times <= 0:
+                        continue
                 else:
-                    complete = issue + op_latency
-                    if branch_run:
-                        taken = takens_seq[index] if takens_seq is not None else takens
-                        if not predict_and_update(pc, taken):
-                            squash_at = complete + mispredict_penalty
-                            if squash_at > redirect_at:
-                                redirect_at = squash_at
-                            squashes += 1
-                if issue > ready:
-                    fu_wait_cycles += issue - ready
+                    times = 1
 
-                if dst >= 0:
-                    reg_ready[dst] = complete
-
-                # ---- commit (in-order, width-limited) ------------------
-                earliest_commit = complete + 1
-                if last_commit > earliest_commit:
-                    earliest_commit = last_commit
-                if earliest_commit > commit_cycle:
-                    commit_stall_cycles += earliest_commit - commit_cycle
-                    commit_cycle = earliest_commit
-                    commit_slots = 1
-                elif commit_slots < commit_width:
-                    commit_slots += 1
-                else:
-                    commit_cycle += 1
-                    commit_slots = 1
-                last_commit = commit_cycle
-                rob_append(commit_cycle)
-
-                instructions += 1
-                if instructions >= next_sample:
-                    next_sample += _SAMPLE_PERIOD
-                    tracer.counter("o3.core%d" % self.core_id,
-                                   base + commit_cycle,
-                                   {"instructions": instructions,
-                                    "robStalls": rob_stalls,
-                                    "lsqStalls": lsq_stalls,
-                                    "squashes": squashes})
+                # ---- apply ``times`` chunks of ``outcome`` -------------
+                advance, post, deltas = outcome
+                dispatch_cycle += times * advance
+                (_, dispatch_slots, commit_at, commit_slots, rob_at, free_at,
+                 regs_at) = post
+                commit_cycle = last_commit = dispatch_cycle + commit_at
+                rob.clear()
+                rob.extend(map(dispatch_cycle.__add__, rob_at))
+                free[:] = map(dispatch_cycle.__add__, free_at)
+                for reg, cycle in zip(regs, regs_at):
+                    reg_ready[reg] = dispatch_cycle + cycle
+                fetch_stall_cycles += times * deltas[0]
+                dispatch_stall_cycles += times * deltas[1]
+                operand_wait_cycles += times * deltas[2]
+                fu_wait_cycles += times * deltas[3]
+                commit_stall_cycles += times * deltas[4]
+                rob_stalls += times * deltas[5]
+                instructions += times * n
+                replayed += times * n
+                lo += times * n
             class_counts[icls] += count
 
         return (last_commit, current_line, instructions, rob_stalls,
                 lsq_stalls, squashes, fetch_stall_cycles,
                 dispatch_stall_cycles, operand_wait_cycles, fu_wait_cycles,
-                commit_stall_cycles)
+                commit_stall_cycles, replayed)
 
     def _flush_stats(self, class_counts, cycles, instructions, rob_stalls,
                      lsq_stalls, squashes) -> RunResult:
@@ -430,7 +630,7 @@ class O3Cpu(BaseCpu):
         class_counts = [0] * _NUM_CLASSES
         (total_cycles, _, instructions, rob_stalls, lsq_stalls, squashes,
          fetch_stall_cycles, dispatch_stall_cycles, operand_wait_cycles,
-         fu_wait_cycles, commit_stall_cycles) = self._pipeline(
+         fu_wait_cycles, commit_stall_cycles, _) = self._pipeline(
             self._stream(assembled, seed), 0, class_counts, tracer)
         result = self._flush_stats(class_counts, total_cycles, instructions,
                                    rob_stalls, lsq_stalls, squashes)

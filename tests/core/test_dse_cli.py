@@ -163,6 +163,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["dse", "fibonacci-go", "--axis", "l2_size"])
 
+    @pytest.mark.parametrize("axis", ["rob_entries=192,0",
+                                      "dispatch_width=0"])
+    def test_dse_rejects_an_empty_pipeline_before_running(self, axis):
+        with pytest.raises(SystemExit) as exited:
+            main(["dse", "fibonacci-go", "--axis", axis])
+        field = axis.partition("=")[0]
+        assert str(exited.value.code) == (
+            "--axis %s: O3Config.%s must be an integer >= 1, got 0"
+            % (axis, field))
+
     def test_unknown_function_errors(self):
         with pytest.raises(KeyError):
             main(["measure", "no-such-function"])

@@ -45,6 +45,36 @@ class TestAtomic:
         assert dump["s.cpu1.atomic.numCycles"] == result.cycles
 
 
+#: Every O3Config count: the least value a pipeline can run with.
+O3_COUNTS = {"rob_entries": 1, "lq_entries": 1, "sq_entries": 1,
+             "int_regs": 1, "float_regs": 1, "dispatch_width": 1,
+             "commit_width": 1, "int_alus": 1, "int_mult_units": 1,
+             "int_div_units": 1, "fp_units": 1, "mem_ports": 1,
+             "frontend_depth": 0, "mispredict_penalty": 0}
+
+
+class TestO3Config:
+    @pytest.mark.parametrize("field", sorted(O3_COUNTS))
+    def test_count_below_its_least_names_the_field(self, field):
+        least = O3_COUNTS[field]
+        with pytest.raises(ValueError, match=r"O3Config\.%s must be an "
+                           r"integer >= %d, got %d$" % (field, least,
+                                                        least - 1)):
+            O3Config(**{field: least - 1})
+        assert getattr(O3Config(**{field: least}), field) == least
+
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(ValueError, match="rob_entries"):
+            O3Config(rob_entries="192")
+
+    def test_least_pipeline_runs(self):
+        config = O3Config(**O3_COUNTS)
+        system = SimulatedSystem("s", "riscv", o3_config=config)
+        result = system.run(1, build_program(trips=5), model="o3")
+        assert result.instructions == system.run(
+            1, build_program(trips=5), model="atomic").instructions
+
+
 class TestO3:
     def test_o3_faster_than_atomic(self):
         program = build_program()
