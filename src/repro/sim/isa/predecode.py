@@ -655,7 +655,8 @@ def warm_runs(runs, mem, bpred, current_line, class_counts) -> int:
     ``class_counts``.  :func:`o3_stream` draws the trace rng whether or
     not a predictor trains, and neither touch reads it, so warming sees
     the stream every replay mode sees.  One loop per run kind keeps the
-    per-instance work to what that kind warms.
+    per-instance work to what that kind warms, and an unrolled compute
+    run, which warms only its fetches, steps one I-cache line at a time.
     """
     line_shift = mem._line_shift
     warm_touch = mem.warm_touch
@@ -696,11 +697,17 @@ def warm_runs(runs, mem, bpred, current_line, class_counts) -> int:
                     current_line = line
                 predict(pc, taken)
         else:
-            for pc in pcs:
+            # Unrolled compute touches only its lines: one step per line,
+            # bisecting the increasing PCs for the next line's first.
+            index = 0
+            while index < count:
+                pc = pcs[index]
                 line = pc >> line_shift
                 if line != current_line:
                     warm_touch(pc, True)
                     current_line = line
+                index = bisect_left(pcs, (line + 1) << line_shift,
+                                    index + 1, count)
     return current_line
 
 
