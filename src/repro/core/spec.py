@@ -8,7 +8,7 @@ plus a separate task type for the parallel engine, each spelling the same
 the design-space explorer and the result-cache keying all consume this
 one type, and :func:`repro.core.reproduce.measure` dispatches on it.
 
-The class is deliberately *not* a ``dataclass``: CI runs Python 3.9,
+The class is *not* a ``dataclass``: it was written for Python 3.9,
 which lacks ``dataclass(kw_only=True)``, so keyword-only construction is
 hand-rolled.  Instances are immutable (use :meth:`replace`), hashable,
 and picklable — they cross process boundaries in

@@ -29,7 +29,7 @@ memory sweep has a real knee.
 
 Like every config object in this repo (kw-only, ``__slots__``,
 ``fingerprint()``, ``as_dict``/``from_dict``), the spec is hand-rolled
-rather than a dataclass: CI runs Python 3.9, which lacks
+rather than a dataclass: it was written for Python 3.9, which lacks
 ``dataclass(kw_only=True)``.
 """
 
