@@ -53,7 +53,12 @@ _SAMPLE_PERIOD = 1024
 
 
 class O3Config:
-    """Pipeline parameters (defaults = Table 4.1 plus gem5 O3 defaults)."""
+    """Pipeline parameters (defaults = Table 4.1 plus gem5 O3 defaults).
+
+    A size, width or unit count below one, or a negative front-end
+    depth or mispredict penalty, raises a ``ValueError`` naming the
+    field.
+    """
 
     def __init__(
         self,
@@ -399,8 +404,12 @@ class O3Cpu(BaseCpu):
                         # A memo hit rebuilds the whole ROB, which costs
                         # more than it saves once the ROB holds more than
                         # twice the chunk's instances: such a line runs
-                        # per instance.
-                        if pcs is None or len(rob) <= 2 * n:
+                        # per instance, and takes the next line's first
+                        # instance with it.
+                        if pcs is not None and len(rob) > 2 * n:
+                            if hi < count:
+                                hi += 1
+                        else:
                             state = _chunk_state(
                                 dispatch_cycle, line_ready if line_ready >
                                 redirect_at else redirect_at, dispatch_slots,
