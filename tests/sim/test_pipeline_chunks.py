@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.tracer import Tracer
-from repro.sim.cpu.o3 import _SAMPLE_PERIOD, O3Cpu, _cut, _fu_pools
+from repro.sim.cpu.o3 import _SAMPLE_PERIOD, _cut, _fu_pools
 from repro.sim.isa.base import (
     ADDR_REG,
     FP_CHAIN_BASE,
@@ -258,11 +258,6 @@ ISAS = ("riscv", "x86", "arm")
 #: Run PCs carry the I-cache line of the default 64-byte lines.
 LINE_SHIFT = 6
 
-#: Instruction sizes in bytes: RISC-V mixes 2-byte compressed and 4-byte
-#: instructions, x86 takes 1 to 15 bytes, Arm 4.
-SIZES = {"riscv": st.sampled_from((2, 4)), "x86": st.integers(1, 15),
-         "arm": st.just(4)}
-
 #: Where code starts.
 CODE = 0x10000
 #: The data region memory runs stride through.
@@ -314,12 +309,9 @@ def random_stream(rng, isa):
     serializing instructions, at PCs in 32 contiguous lines and in 32
     lines that share an L1I set, so that lines recur in varied
     pipeline states."""
-    if isa == "riscv":
-        size = lambda: rng.choice((2, 4))  # noqa: E731
-    elif isa == "x86":
-        size = lambda: rng.randint(1, 15)  # noqa: E731
-    else:
-        size = lambda: 4  # noqa: E731
+    # RISC-V mixes 2-byte compressed and 4-byte instructions, x86 takes
+    # 1 to 15 bytes, Arm 4.
+    sizes_of = {"riscv": (2, 4), "x86": range(1, 16), "arm": (4,)}[isa]
     pc = CODE + rng.randrange(256)
     body = []
     for _ in range(rng.randint(2, 8)):
@@ -347,7 +339,7 @@ def random_stream(rng, isa):
                          rng.choice((1, 1, 2, 3, 4, 5, 8, 24)))
         sizes = None
         if kind == "unrolled" or (kind != "repeat" and rng.random() < 0.5):
-            sizes = [size() for _ in range(count)]
+            sizes = [rng.choice(sizes_of) for _ in range(count)]
         addrs = takens = None
         if kind == "memory":
             offset = rng.randrange(8192)
@@ -424,7 +416,7 @@ def assert_same(isa, windows, traced):
     return replayed
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(isa=st.sampled_from(ISAS), traced=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_property_chunks_match_per_instance_loop(isa, traced, seed):
