@@ -296,9 +296,10 @@ def make_run(icls, count, pc, lanes, sizes=None, addrs=None, takens=None):
             _BUSY_BY_CLASS[icls], memkind, addrs, takens)
 
 
-def compute_run(icls, count, pc, ilp=1, chain=0, size=None):
-    """A compute run; unrolled at ``size`` bytes per instance if given."""
-    return make_run(icls, count, pc, lanes_of(icls, chain, ilp),
+def compute_run(icls, count, pc, ilp=1, size=None):
+    """A compute run of ``ilp`` lanes; unrolled at ``size`` bytes per
+    instance if given."""
+    return make_run(icls, count, pc, lanes_of(icls, 0, ilp),
                     None if size is None else (size,) * count)
 
 
