@@ -35,7 +35,6 @@ from repro.core.harness import (
     LukewarmMeasurement,
 )
 from repro.core.parallel import (
-    MeasurementTask,
     execute_task,
     resolve_jobs,
     run_measurement_matrix,
@@ -57,7 +56,6 @@ __all__ = [
     "FunctionMeasurement",
     "MeasurementSpec",
     "MeasurementTable",
-    "MeasurementTask",
     "measure",
     "NATIVE",
     "PlatformConfig",

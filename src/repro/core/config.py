@@ -47,6 +47,16 @@ class PlatformConfig:
         o3 = tuple(sorted(self.o3_config.__dict__.items()))
         return (self.num_cores, self.frequency.hertz, mem, o3)
 
+    # Equal microarchitectures compare and hash equal, however many
+    # times they were built, so specs that carry them do too.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlatformConfig):
+            return NotImplemented
+        return self.fingerprint() == other.fingerprint()
+
+    def __hash__(self) -> int:
+        return hash(self.fingerprint())
+
     def common_parameters(self) -> Dict[str, str]:
         """Table 4.1 rows."""
         mem = self.mem_config

@@ -208,8 +208,8 @@ class DesignSpace:
 
         tasks = [
             MeasurementSpec(function=function.name, isa=self.isa,
-                            time=self.scale.time, space=self.scale.space,
-                            seed=seed, platform=self._platform_for(settings))
+                            scale=self.scale, seed=seed,
+                            platform=self._platform_for(settings))
             for settings in combos
         ]
         measured = run_measurement_matrix(tasks, jobs=jobs, cache=cache)

@@ -29,15 +29,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.config import platform_for
 from repro.core.harness import ExperimentHarness, FunctionMeasurement
-from repro.core.rescache import ResultCache, measurement_digest, resolve_cache
+from repro.core.rescache import ResultCache, resolve_cache
 from repro.core.spec import MeasurementSpec
 from repro.envknobs import env_int
-
-#: Backwards-compatible alias: the matrix point type used to be a
-#: separate dataclass; it is now the unified measurement spec.
-MeasurementTask = MeasurementSpec
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -52,29 +47,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if env:
         return max(1, env)
     return os.cpu_count() or 1
-
-
-def task_digest(task: MeasurementSpec) -> str:
-    """Content address of a spec for the result cache."""
-    platform = task.platform or platform_for(task.isa)
-    scaling = getattr(task, "scaling", None)
-    sampling = getattr(task, "sampling", None)
-    cluster = getattr(task, "cluster", None)
-    vector = getattr(task, "vector", None)
-    return measurement_digest(
-        function=task.function,
-        isa=task.isa,
-        time_scale=task.time,
-        space_scale=task.space,
-        seed=task.seed,
-        fingerprint=platform.fingerprint(),
-        db=task.db,
-        requests=task.requests,
-        scaling=scaling.fingerprint() if scaling is not None else None,
-        sampling=sampling.fingerprint() if sampling is not None else None,
-        cluster=cluster.fingerprint() if cluster is not None else None,
-        vector=vector.fingerprint() if vector is not None else None,
-    )
 
 
 def execute_task(task: MeasurementSpec) -> FunctionMeasurement:
@@ -113,8 +85,7 @@ def execute_task(task: MeasurementSpec) -> FunctionMeasurement:
     harness = ExperimentHarness(isa=task.isa, scale=task.scale,
                                 platform_config=task.platform, seed=task.seed,
                                 tracer=tracer, faults=injector,
-                                sampling=getattr(task, "sampling", None),
-                                vector=getattr(task, "vector", None))
+                                sampling=task.sampling, vector=task.vector)
     measurement = harness.measure_function(function, services=services,
                                            requests=task.requests)
     if tracer is not None:
@@ -141,25 +112,24 @@ def run_measurement_matrix(
     Cache hits are filled in first; only the remaining points are
     simulated, serially for ``jobs <= 1`` and over a process pool
     otherwise.  The output is positionally aligned with ``tasks`` and
-    independent of worker count.  Traced and faulted specs bypass the
-    cache in both directions — a cached measurement carries no capture,
-    and a chaos/trace run is an artifact of *this* experiment, not a
-    content-addressed result.
+    independent of worker count.  A spec whose
+    :meth:`~repro.core.spec.MeasurementSpec.digest` is ``None`` (traced
+    or faulted) bypasses the cache in both directions.
     """
     tasks = list(tasks)
     resolved_cache: Optional[ResultCache] = resolve_cache(cache)
     results: List[Optional[FunctionMeasurement]] = [None] * len(tasks)
-    digests: List[Optional[str]] = [None] * len(tasks)
+    digests: List[Optional[str]] = [
+        task.digest() if resolved_cache is not None else None
+        for task in tasks]
 
     pending: List[int] = []
-    for index, task in enumerate(tasks):
-        if resolved_cache is not None and not task.trace and task.faults is None:
-            digests[index] = task_digest(task)
-            hit = resolved_cache.get(digests[index])
-            if hit is not None:
-                results[index] = hit
-                continue
-        pending.append(index)
+    for index, digest in enumerate(digests):
+        hit = resolved_cache.get(digest) if digest is not None else None
+        if hit is None:
+            pending.append(index)
+        else:
+            results[index] = hit
 
     if pending:
         workers = min(resolve_jobs(jobs), len(pending))
@@ -174,7 +144,7 @@ def run_measurement_matrix(
                                       [tasks[index] for index in pending]))
         for index, measurement in zip(pending, fresh):
             results[index] = measurement
-            if resolved_cache is not None and digests[index] is not None:
+            if digests[index] is not None:
                 resolved_cache.put(digests[index], measurement)
 
     return results  # type: ignore[return-value]

@@ -8,6 +8,7 @@ that want the data without pytest.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -52,7 +53,7 @@ def _expand_spec(spec: MeasurementSpec,
     specs = []
     for name in names:
         db = (spec.db or "cassandra") if name in hotel_names else None
-        specs.append(spec.replace(function=name, db=db))
+        specs.append(dataclasses.replace(spec, function=name, db=db))
     return specs
 
 

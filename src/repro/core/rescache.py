@@ -7,8 +7,10 @@ workflow reuses boot checkpoints for the same reason, and SeBS caches
 per-benchmark results across experiment invocations.  This module gives
 the measurement engine the same property across *process* boundaries: a
 content-addressed on-disk cache keyed by a digest of everything a
-measurement depends on, including a code-version salt so results from an
-older simulator are never silently reused.
+measurement depends on
+(:meth:`repro.core.spec.MeasurementSpec.digest`), including a
+code-version salt so results from an older simulator are never silently
+reused.
 
 Knobs:
 
@@ -22,7 +24,6 @@ Maintenance from the CLI: ``python -m repro cache stats`` and
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 from pathlib import Path
@@ -37,7 +38,7 @@ FORMAT_VERSION = 2
 #: Code-version salt: bump whenever a change alters what any measurement
 #: would produce (simulator timing, workload models, trace generation),
 #: so stale entries miss instead of lying.  The package version is mixed
-#: into digests as well.
+#: into digests as well (:meth:`repro.core.spec.MeasurementSpec.digest`).
 CODE_SALT = "rescache-v1"
 
 _FALSEY = ("0", "no", "off", "false")
@@ -56,54 +57,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro" / "rescache"
-
-
-def measurement_digest(
-    function: str,
-    isa: str,
-    time_scale: int,
-    space_scale: int,
-    seed: int,
-    fingerprint: Any,
-    db: Optional[str] = None,
-    requests: int = 10,
-    scaling: Any = None,
-    sampling: Any = None,
-    cluster: Any = None,
-    vector: Any = None,
-) -> str:
-    """Content address of one measurement.
-
-    ``fingerprint`` is the platform's microarchitectural identity
-    (:meth:`repro.core.config.PlatformConfig.fingerprint`), so a DSE
-    design point and the stock platform never collide.  ``scaling`` is
-    the :meth:`~repro.serverless.scaler.ScalingConfig.fingerprint` tuple
-    of a serving experiment, ``sampling`` the
-    :meth:`~repro.sim.sampling.SamplingConfig.fingerprint` of a sampled
-    run, ``cluster`` the
-    :meth:`~repro.serverless.platform.ClusterConfig.fingerprint` of a
-    multi-node serving experiment, ``vector`` the
-    :meth:`~repro.sim.isa.vector.VectorConfig.fingerprint` of a
-    vector-enabled run; each extends the key *only when set*, so every
-    digest minted before the corresponding layer existed stays valid —
-    and a sampled (approximate), cluster-served or vector-lowered result
-    can never alias a full-detail scalar single-host one.
-    """
-    from repro import __version__
-
-    key = (
-        CODE_SALT, __version__, function, isa, int(time_scale),
-        int(space_scale), int(seed), int(requests), db or "", fingerprint,
-    )
-    if scaling is not None:
-        key = key + (scaling,)
-    if sampling is not None:
-        key = key + (sampling,)
-    if cluster is not None:
-        key = key + (cluster,)
-    if vector is not None:
-        key = key + (vector,)
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
 
 class ResultCache:

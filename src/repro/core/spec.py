@@ -8,24 +8,61 @@ plus a separate task type for the parallel engine, each spelling the same
 the design-space explorer and the result-cache keying all consume this
 one type, and :func:`repro.core.reproduce.measure` dispatches on it.
 
-The class is *not* a ``dataclass``: it was written for Python 3.9,
-which lacks ``dataclass(kw_only=True)``, so keyword-only construction is
-hand-rolled.  Instances are immutable (use :meth:`replace`), hashable,
-and picklable — they cross process boundaries in
-:func:`repro.core.parallel.run_measurement_matrix`.
+Spec identity has one definition, the field list.  Every field carries
+one of three key tags in its metadata, and :meth:`MeasurementSpec.digest`
+reads them in declaration order: an *identity* field is always in the
+result-cache key, an *only-when-set* field (``scaling``, ``sampling``,
+``cluster``, ``vector``) only when it is not ``None`` — so a layer added
+that way leaves every older digest valid — and a set *cache-bypass*
+field (``trace``, ``faults``) makes the digest ``None``, keeping the spec
+out of the cache.  A new field joins the key by being declared.  The
+class is a frozen slotted dataclass: immutable (use
+:func:`dataclasses.replace`), hashable and picklable — specs cross
+process boundaries in :func:`repro.core.parallel.run_measurement_matrix`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import hashlib
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
+from repro.core.config import PlatformConfig, platform_for
 from repro.core.scale import BENCH, SimScale
+from repro.frozen import converted_fields
 
-_FIELDS = ("function", "isa", "time", "space", "seed", "db", "requests",
-           "platform", "trace", "faults", "scaling", "sampling", "cluster",
-           "vector")
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+    from repro.serverless.platform import ClusterConfig
+    from repro.serverless.scaler import ScalingConfig
+    from repro.sim.isa.vector import VectorConfig
+    from repro.sim.sampling import SamplingConfig
+
+#: The three result-cache key tags (field metadata ``"key"``).
+IDENTITY = "identity"
+WHEN_SET = "only-when-set"
+BYPASS = "cache-bypass"
 
 
+def _field(tag: str, default: Any = MISSING,
+           form: Optional[Callable[["MeasurementSpec"], Tuple]] = None):
+    """A spec field tagged for the key; ``form`` gives its key elements
+    where the value's :func:`key_form` does not."""
+    return field(default=default, metadata={"key": tag, "form": form})
+
+
+def key_form(value: Any) -> Any:
+    """A value's place in a key: its ``fingerprint()`` where its class
+    keeps one, a dataclass's field tuple, else the value itself."""
+    fingerprint = getattr(value, "fingerprint", None)
+    if fingerprint is not None:
+        return fingerprint()
+    if is_dataclass(value):
+        return tuple(getattr(value, item.name) for item in fields(value))
+    return value
+
+
+@dataclass(frozen=True, kw_only=True, slots=True)
 class MeasurementSpec:
     """One point of the measurement matrix, keyword-only and immutable.
 
@@ -35,188 +72,114 @@ class MeasurementSpec:
         picklable by construction).
     ``isa``
         Platform ISA (``riscv`` / ``x86`` / ``arm``).
-    ``scale`` or ``time``/``space``
-        The scaled-machine divisors, either as a
-        :class:`~repro.core.scale.SimScale` or as the two integers;
-        defaults to :data:`~repro.core.scale.BENCH`.
+    ``scale``
+        The scaled-machine divisors as a
+        :class:`~repro.core.scale.SimScale`; defaults to
+        :data:`~repro.core.scale.BENCH`.  ``time`` and ``space`` read
+        its two divisors.
+    ``seed``, ``requests``
+        Program seed and the length of the request protocol.
     ``db``
         Datastore name for hotel functions (the worker builds a fresh
-        :class:`~repro.workloads.hotel.HotelSuite` around it).
+        :class:`~repro.workloads.hotel.HotelSuite` around it).  ``None``
+        and ``""`` share a key.
     ``platform``
         Optional :class:`~repro.core.config.PlatformConfig` override
         (design-space exploration); ``None`` means the canonical
-        platform for ``isa``.
-    ``trace``
-        When true, the measurement runs with a
-        :class:`~repro.obs.Tracer` attached and the result carries a
-        frozen trace capture (``measurement.trace``).  Traced specs
-        bypass the result cache: a cached measurement has no capture.
-    ``faults``
-        Optional :class:`~repro.faults.FaultPlan`.  The worker arms a
-        fresh injector for the run, so faults and recovery are
-        deterministic per (plan, spec).  Faulted specs bypass the result
-        cache like traced ones — a chaos measurement is an experiment
-        artifact, not a canonical result.
+        platform for ``isa`` and shares its key.
     ``scaling``
         Optional :class:`~repro.serverless.scaler.ScalingConfig` for
-        serving experiments (`python -m repro serve`).  Part of spec
-        identity and of the result-cache key: two serve runs with
-        different autoscaler knobs must never share a content address.
-        ``None`` — the default, and the only value measurement entry
-        points produce — keeps identity and digests exactly as before.
+        serving experiments (``python -m repro serve``).
     ``sampling``
         Optional :class:`~repro.sim.sampling.SamplingConfig`.  When set,
         detailed (O3) runs use sampled simulation — short detailed
         windows extrapolated over fast-forwarded instructions — trading
-        a bounded cycle error for a large speedup.  Part of spec
-        identity and of the result-cache key: sampled results are
-        approximations and must never alias full-detail ones.  ``None``
-        (the default) runs every detailed instruction and keeps all
-        digests byte-identical to the pre-sampling implementation.
+        a bounded cycle error for a large speedup; sampled results are
+        approximations and never alias full-detail ones.
     ``cluster``
         Optional :class:`~repro.serverless.platform.ClusterConfig` for
         multi-node serving experiments (``python -m repro serve
-        --nodes``).  Part of spec identity and of the result-cache key,
-        extending both *only when set* — ``None`` (the default, and the
-        only value measurement entry points produce) keeps identity and
-        digests exactly as before, the same contract as ``scaling`` and
-        ``sampling``.
+        --nodes``).
     ``vector``
         Optional :class:`~repro.sim.isa.vector.VectorConfig`.  When set,
         the measurement's ISA instance carries a vector unit and vector
         IR ops lower to stripmined (RVV) or fixed-width (SSE/NEON)
-        vector streams.  Part of spec identity and of the result-cache
-        key, extending both *only when set* — ``None`` (the default)
-        lowers vector IR element-by-element to scalar instructions and
-        keeps every existing digest, stat dump and event log
-        byte-identical, the same contract as ``sampling``/``cluster``.
+        vector streams; ``None`` lowers them element-by-element to
+        scalar instructions.
+    ``trace``
+        When true, the measurement runs with a
+        :class:`~repro.obs.Tracer` attached and the result carries a
+        frozen trace capture (``measurement.trace``).  A cached
+        measurement has no capture, so traced specs bypass the cache.
+    ``faults``
+        Optional :class:`~repro.faults.FaultPlan`.  The worker arms a
+        fresh injector for the run, so faults and recovery are
+        deterministic per (plan, spec).  A chaos measurement is an
+        experiment artifact, not a canonical result, so faulted specs
+        bypass the cache.
     """
 
-    __slots__ = _FIELDS
+    function: str = _field(IDENTITY)
+    isa: str = _field(IDENTITY, "riscv")
+    scale: SimScale = _field(
+        IDENTITY, BENCH, lambda spec: (int(spec.time), int(spec.space)))
+    seed: int = _field(IDENTITY, 0)
+    requests: int = _field(IDENTITY, 10)
+    db: Optional[str] = _field(IDENTITY, None, lambda spec: (spec.db or "",))
+    platform: Optional[PlatformConfig] = _field(
+        IDENTITY, None,
+        lambda spec: ((spec.platform or platform_for(spec.isa)).fingerprint(),))
+    scaling: Optional[ScalingConfig] = _field(WHEN_SET, None)
+    sampling: Optional[SamplingConfig] = _field(WHEN_SET, None)
+    cluster: Optional[ClusterConfig] = _field(WHEN_SET, None)
+    vector: Optional[VectorConfig] = _field(WHEN_SET, None)
+    trace: bool = _field(BYPASS, False)
+    faults: Optional[FaultPlan] = _field(BYPASS, None)
 
-    def __init__(self, *, function, isa: str = "riscv",
-                 scale: Optional[SimScale] = None,
-                 time: Optional[int] = None, space: Optional[int] = None,
-                 seed: int = 0, db: Optional[str] = None, requests: int = 10,
-                 platform=None, trace: bool = False, faults=None,
-                 scaling=None, sampling=None, cluster=None, vector=None):
-        if scale is not None and (time is not None or space is not None):
-            raise TypeError("pass scale= or time=/space=, not both")
-        if scale is None:
-            scale = SimScale(time=BENCH.time if time is None else time,
-                             space=BENCH.space if space is None else space)
-        name = getattr(function, "name", function)
+    def __post_init__(self) -> None:
+        name = getattr(self.function, "name", self.function)
         if not isinstance(name, str):
             raise TypeError("function must be a catalog name or carry "
-                            ".name, got %r" % (function,))
-        if requests < 1:
-            raise ValueError("requests must be >= 1, got %d" % requests)
-        set_field = object.__setattr__
-        set_field(self, "function", name)
-        set_field(self, "isa", isa)
-        set_field(self, "time", scale.time)
-        set_field(self, "space", scale.space)
-        set_field(self, "seed", seed)
-        set_field(self, "db", db)
-        set_field(self, "requests", requests)
-        set_field(self, "platform", platform)
-        set_field(self, "trace", bool(trace))
-        set_field(self, "faults", faults)
-        set_field(self, "scaling", scaling)
-        set_field(self, "sampling", sampling)
-        set_field(self, "cluster", cluster)
-        set_field(self, "vector", vector)
-
-    # -- immutability ------------------------------------------------------
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("MeasurementSpec is immutable; use .replace()")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("MeasurementSpec is immutable; use .replace()")
-
-    def replace(self, **changes) -> "MeasurementSpec":
-        """A copy with the given fields swapped (dataclasses.replace style)."""
-        fields: Dict[str, Any] = {name: getattr(self, name)
-                                  for name in _FIELDS}
-        if "scale" in changes:
-            scale = changes.pop("scale")
-            changes.setdefault("time", scale.time)
-            changes.setdefault("space", scale.space)
-        unknown = set(changes) - set(_FIELDS)
-        if unknown:
-            raise TypeError("unknown spec fields: %s" % sorted(unknown))
-        fields.update(changes)
-        return MeasurementSpec(**fields)
-
-    # -- derived views -----------------------------------------------------
+                            ".name, got %r" % (self.function,))
+        if self.requests < 1:
+            raise ValueError("requests must be >= 1, got %d" % self.requests)
+        object.__setattr__(self, "function", name)
+        for field_name, value in converted_fields(self):
+            object.__setattr__(self, field_name, value)
 
     @property
-    def scale(self) -> SimScale:
-        return SimScale(time=self.time, space=self.space)
+    def time(self) -> int:
+        return self.scale.time
 
-    def _identity(self) -> tuple:
-        platform = self.platform
-        fingerprint = platform.fingerprint() if platform is not None else None
-        faults = self.faults
-        fault_fingerprint = faults.fingerprint() if faults is not None else None
-        scaling = self.scaling
-        scaling_fingerprint = (scaling.fingerprint()
-                               if scaling is not None else None)
-        sampling = self.sampling
-        sampling_fingerprint = (sampling.fingerprint()
-                                if sampling is not None else None)
-        cluster = self.cluster
-        cluster_fingerprint = (cluster.fingerprint()
-                               if cluster is not None else None)
-        vector = self.vector
-        vector_fingerprint = (vector.fingerprint()
-                              if vector is not None else None)
-        return (self.function, self.isa, self.time, self.space, self.seed,
-                self.db, self.requests, fingerprint, self.trace,
-                fault_fingerprint, scaling_fingerprint,
-                sampling_fingerprint, cluster_fingerprint,
-                vector_fingerprint)
+    @property
+    def space(self) -> int:
+        return self.scale.space
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MeasurementSpec):
-            return NotImplemented
-        return self._identity() == other._identity()
+    def digest(self) -> Optional[str]:
+        """Content address of this spec in the result cache.
 
-    def __hash__(self) -> int:
-        return hash(self._identity())
+        SHA-256 of the ``repr`` of ``(CODE_SALT, package version, ...)``
+        followed by each field's key elements in declaration order:
+        every identity field, and each only-when-set field that is not
+        ``None``.  ``None`` when a cache-bypass field is set.
+        """
+        from repro import __version__
+        from repro.core.rescache import CODE_SALT
+
+        key: Tuple = (CODE_SALT, __version__)
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            tag = spec_field.metadata["key"]
+            if tag == BYPASS:
+                if value != spec_field.default:
+                    return None
+            elif tag == IDENTITY or value is not None:
+                form = spec_field.metadata["form"]
+                key += form(self) if form else (key_form(value),)
+        return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:
-        parts = ["function=%r" % self.function, "isa=%r" % self.isa,
-                 "time=%d" % self.time, "space=%d" % self.space]
-        if self.seed:
-            parts.append("seed=%d" % self.seed)
-        if self.db:
-            parts.append("db=%r" % self.db)
-        if self.requests != 10:
-            parts.append("requests=%d" % self.requests)
-        if self.platform is not None:
-            parts.append("platform=%r" % self.platform)
-        if self.trace:
-            parts.append("trace=True")
-        if self.faults is not None:
-            parts.append("faults=%r" % self.faults)
-        if self.scaling is not None:
-            parts.append("scaling=%r" % self.scaling)
-        if self.sampling is not None:
-            parts.append("sampling=%r" % self.sampling)
-        if self.cluster is not None:
-            parts.append("cluster=%r" % self.cluster)
-        if self.vector is not None:
-            parts.append("vector=%r" % self.vector)
-        return "MeasurementSpec(%s)" % ", ".join(parts)
-
-    # -- pickling (slots, no __dict__) -------------------------------------
-
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in _FIELDS}
-
-    def __setstate__(self, state):
-        for name in _FIELDS:
-            # .get(): states pickled before a field existed load as None.
-            object.__setattr__(self, name, state.get(name))
+        return "MeasurementSpec(%s)" % ", ".join(
+            "%s=%r" % (spec_field.name, getattr(self, spec_field.name))
+            for spec_field in fields(self)
+            if getattr(self, spec_field.name) != spec_field.default)

@@ -1,9 +1,10 @@
 """Fault plans: what fails, where, how often — deterministically.
 
-A :class:`FaultPlan` is configuration, not state: immutable, hashable
-and picklable, so it can ride on a :class:`~repro.core.spec.MeasurementSpec`
-across process boundaries and participate in spec identity.  Arming a
-plan (:meth:`FaultPlan.arm`) produces the mutable :class:`FaultInjector`
+A :class:`FaultPlan` is configuration, not state: a frozen dataclass,
+hashable and picklable, so it can ride on a
+:class:`~repro.core.spec.MeasurementSpec` across process boundaries (a
+faulted spec never reaches the result cache).  Arming a plan
+(:meth:`FaultPlan.arm`) produces the mutable :class:`FaultInjector`
 that hook sites actually consult.
 
 Determinism contract
@@ -21,7 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
+from repro.frozen import converted_fields
 
 #: The named hook sites components consult, one per failure mode the
 #: serverless substrate must survive (see DESIGN.md for the inventory).
@@ -61,40 +65,27 @@ class NodeDownError(RuntimeError):
     """
 
 
+@dataclass(frozen=True, slots=True)
 class FaultSpec:
     """One site's failure behaviour: probability, budget, magnitude."""
 
-    __slots__ = ("site", "rate", "max_fires", "ticks")
+    site: str
+    rate: float
+    max_fires: Optional[int] = None
+    ticks: int = 0
 
-    def __init__(self, site: str, rate: float, max_fires: Optional[int] = None,
-                 ticks: int = 0):
-        if site not in FAULT_SITES:
+    def __post_init__(self) -> None:
+        if self.site not in FAULT_SITES:
             raise ValueError("unknown fault site %r; have %s"
-                             % (site, FAULT_SITES))
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be within [0, 1], got %r" % rate)
-        if max_fires is not None and max_fires < 0:
+                             % (self.site, FAULT_SITES))
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError("rate must be within [0, 1], got %r" % self.rate)
+        if self.max_fires is not None and self.max_fires < 0:
             raise ValueError("max_fires must be >= 0")
-        if ticks < 0:
+        if self.ticks < 0:
             raise ValueError("ticks must be >= 0")
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "rate", float(rate))
-        object.__setattr__(self, "max_fires", max_fires)
-        object.__setattr__(self, "ticks", int(ticks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FaultSpec is immutable")
-
-    def _identity(self) -> tuple:
-        return (self.site, self.rate, self.max_fires, self.ticks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FaultSpec):
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
+        for name, value in converted_fields(self):
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         parts = ["%s@%g" % (self.site, self.rate)]
@@ -104,19 +95,8 @@ class FaultSpec:
             parts.append("ticks=%d" % self.ticks)
         return "FaultSpec(%s)" % ", ".join(parts)
 
-    # -- pickling (slots) --------------------------------------------------
 
-    def __getstate__(self):
-        return self._identity()
-
-    def __setstate__(self, state):
-        site, rate, max_fires, ticks = state
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "max_fires", max_fires)
-        object.__setattr__(self, "ticks", ticks)
-
-
+@dataclass(frozen=True, kw_only=True, slots=True)
 class FaultPlan:
     """An immutable set of :class:`FaultSpec` under one seed.
 
@@ -126,28 +106,23 @@ class FaultPlan:
     experiment — the CLI's ``--fault-seed`` maps straight onto it.
     """
 
-    __slots__ = ("seed", "specs", "retry_attempts", "retry_backoff",
-                 "retry_deadline")
+    seed: int = 0
+    specs: Tuple[FaultSpec, ...] = ()
+    retry_attempts: int = 3
+    retry_backoff: int = 4
+    retry_deadline: Optional[int] = None
 
-    def __init__(self, seed: int = 0, specs: Iterable[FaultSpec] = (),
-                 retry_attempts: int = 3, retry_backoff: int = 4,
-                 retry_deadline: Optional[int] = None):
-        specs = tuple(specs)
-        sites = [spec.site for spec in specs]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "specs", tuple(self.specs))
+        sites = [spec.site for spec in self.specs]
         if len(set(sites)) != len(sites):
             raise ValueError("duplicate fault site in plan: %s" % sites)
-        if retry_attempts < 1:
+        if self.retry_attempts < 1:
             raise ValueError("retry_attempts must be >= 1")
-        if retry_backoff < 0:
+        if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "retry_attempts", int(retry_attempts))
-        object.__setattr__(self, "retry_backoff", int(retry_backoff))
-        object.__setattr__(self, "retry_deadline", retry_deadline)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FaultPlan is immutable")
+        for name, value in converted_fields(self):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def chaos(cls, seed: int = 0, rate: float = 0.1,
@@ -175,30 +150,8 @@ class FaultPlan:
         """Build the runtime injector for one experiment run."""
         return FaultInjector(self)
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity for spec equality and cache keying."""
-        return (self.seed, tuple(spec._identity() for spec in self.specs),
-                self.retry_attempts, self.retry_backoff, self.retry_deadline)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FaultPlan):
-            return NotImplemented
-        return self.fingerprint() == other.fingerprint()
-
-    def __hash__(self) -> int:
-        return hash(self.fingerprint())
-
     def __repr__(self) -> str:
         return "FaultPlan(seed=%d, %d sites)" % (self.seed, len(self.specs))
-
-    # -- pickling (slots) --------------------------------------------------
-
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state):
-        for name in self.__slots__:
-            object.__setattr__(self, name, state[name])
 
 
 def _draw(seed: int, site: str, index: int) -> float:

@@ -34,9 +34,11 @@ from __future__ import annotations
 import heapq
 import random
 import zlib
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.faults.plan import FaultPlan, FaultSpec, NodeDownError
+from repro.frozen import converted_fields
 from repro.serverless.container import ImageRegistry
 from repro.serverless.engine import ContainerEngine, install_docker
 from repro.serverless.faas import FunctionState
@@ -50,17 +52,14 @@ from repro.serverless.scaler import ScalingEvent
 #: default topology-spread instinct).
 PLACEMENT_POLICIES = ("binpack", "spread")
 
-_CLUSTER_FIELDS = ("nodes", "placement", "node_capacity", "hop_ticks",
-                   "node_fail_rate", "node_recover_ticks")
-
-
+@dataclass(frozen=True, kw_only=True, slots=True)
 class ClusterConfig:
     """Cluster shape and chaos knobs, keyword-only and immutable.
 
-    Follows the :class:`~repro.serverless.scaler.ScalingConfig` pattern:
-    hashable, picklable, with :meth:`fingerprint` so a cluster
+    A frozen dataclass like
+    :class:`~repro.serverless.scaler.ScalingConfig`, so a cluster
     configuration can ride on a
-    :class:`~repro.core.spec.MeasurementSpec` and participate in result
+    :class:`~repro.core.spec.MeasurementSpec` and take part in result
     cache identity — ``cluster=None`` everywhere keeps every digest,
     stat and event log byte-identical to the single-host implementation.
 
@@ -85,83 +84,34 @@ class ClusterConfig:
         containers died with it).
     """
 
-    __slots__ = _CLUSTER_FIELDS
+    nodes: int = 1
+    placement: str = "binpack"
+    node_capacity: Optional[int] = None
+    hop_ticks: int = 6
+    node_fail_rate: float = 0.0
+    node_recover_ticks: int = 600
 
-    def __init__(self, *, nodes: int = 1, placement: str = "binpack",
-                 node_capacity: Optional[int] = None, hop_ticks: int = 6,
-                 node_fail_rate: float = 0.0, node_recover_ticks: int = 600):
-        if nodes < 1:
+    def __post_init__(self) -> None:
+        if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
-        if placement not in PLACEMENT_POLICIES:
+        if self.placement not in PLACEMENT_POLICIES:
             raise ValueError("placement must be one of %s, got %r"
-                             % (", ".join(PLACEMENT_POLICIES), placement))
-        if node_capacity is not None and node_capacity < 1:
+                             % (", ".join(PLACEMENT_POLICIES), self.placement))
+        if self.node_capacity is not None and self.node_capacity < 1:
             raise ValueError("node_capacity must be >= 1 (or None)")
-        if hop_ticks < 0:
+        if self.hop_ticks < 0:
             raise ValueError("hop_ticks must be >= 0")
-        if not 0.0 <= node_fail_rate <= 1.0:
+        if not 0.0 <= self.node_fail_rate <= 1.0:
             raise ValueError("node_fail_rate must be within [0, 1]")
-        if node_recover_ticks < 1:
+        if self.node_recover_ticks < 1:
             raise ValueError("node_recover_ticks must be >= 1")
-        set_field = object.__setattr__
-        set_field(self, "nodes", int(nodes))
-        set_field(self, "placement", placement)
-        set_field(self, "node_capacity",
-                  None if node_capacity is None else int(node_capacity))
-        set_field(self, "hop_ticks", int(hop_ticks))
-        set_field(self, "node_fail_rate", float(node_fail_rate))
-        set_field(self, "node_recover_ticks", int(node_recover_ticks))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("ClusterConfig is immutable; use replace()")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("ClusterConfig is immutable; use replace()")
-
-    def replace(self, **changes) -> "ClusterConfig":
-        """A copy with the given knobs swapped (dataclasses.replace style)."""
-        fields: Dict[str, Any] = {name: getattr(self, name)
-                                  for name in _CLUSTER_FIELDS}
-        unknown = set(changes) - set(_CLUSTER_FIELDS)
-        if unknown:
-            raise TypeError("unknown cluster fields: %s" % sorted(unknown))
-        fields.update(changes)
-        return ClusterConfig(**fields)
-
-    def fingerprint(self) -> Tuple:
-        """Identity tuple for result-cache keying and spec equality."""
-        return tuple(getattr(self, name) for name in _CLUSTER_FIELDS)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Round-trippable view (JSON exporters, :meth:`from_dict`)."""
-        return {name: getattr(self, name) for name in _CLUSTER_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
-        """Inverse of :meth:`as_dict`."""
-        return cls(**{name: data[name] for name in _CLUSTER_FIELDS})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClusterConfig):
-            return NotImplemented
-        return self.fingerprint() == other.fingerprint()
-
-    def __hash__(self) -> int:
-        return hash(self.fingerprint())
+        for name, value in converted_fields(self):
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return ("ClusterConfig(nodes=%d, placement=%r, capacity=%s, "
                 "fail=%g)" % (self.nodes, self.placement,
                               self.node_capacity, self.node_fail_rate))
-
-    # -- pickling (slots, no __dict__) -------------------------------------
-
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in _CLUSTER_FIELDS}
-
-    def __setstate__(self, state):
-        for name in _CLUSTER_FIELDS:
-            object.__setattr__(self, name, state[name])
 
 
 class Node:

@@ -47,6 +47,7 @@ import itertools
 import random
 import zlib
 from collections import deque
+from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.db.engine import encoded_size
@@ -327,14 +328,14 @@ class ServeResult:
         """
         data = {
             "function": self.function,
-            "scaling": self.scaling.as_dict(),
+            "scaling": asdict(self.scaling),
             "records": [record.as_dict() for record in self.records],
             "events": [event.as_dict() for event in self.events],
             "samples": [list(sample) for sample in self.samples],
             "finished_at": self.finished_at,
         }
         if self.cluster is not None:
-            data["cluster"] = self.cluster.as_dict()
+            data["cluster"] = asdict(self.cluster)
             data["node_samples"] = [[tick, list(counts)]
                                     for tick, counts in self.node_samples]
         return data

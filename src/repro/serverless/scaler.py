@@ -49,23 +49,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-_CONFIG_FIELDS = (
-    "target_concurrency", "max_instances", "min_instances",
-    "queue_capacity", "stable_window", "panic_window", "panic_threshold",
-    "scale_to_zero_after", "evaluate_every", "cold_start_ticks",
-)
+from repro.frozen import converted_fields
 
-
+@dataclass(frozen=True, kw_only=True, slots=True)
 class ScalingConfig:
     """Autoscaler + router knobs, keyword-only and immutable.
 
-    Instances are hashable and picklable and expose :meth:`fingerprint`
-    so a scaling configuration can ride on a
-    :class:`~repro.core.spec.MeasurementSpec` and participate in result
-    cache identity — two serve experiments with different scaling knobs
-    must never share a content address.
+    A frozen dataclass, so it can ride on a
+    :class:`~repro.core.spec.MeasurementSpec` and take part in result
+    cache identity through its field tuple — two serve experiments with
+    different scaling knobs must never share a content address.
 
     ``target_concurrency``
         Requests one instance serves concurrently (Knative's
@@ -89,58 +85,39 @@ class ScalingConfig:
         container engine's create+start costs before it can serve.
     """
 
-    __slots__ = _CONFIG_FIELDS
+    target_concurrency: int = 1
+    max_instances: int = 8
+    min_instances: int = 0
+    queue_capacity: int = 64
+    stable_window: int = 600
+    panic_window: int = 60
+    panic_threshold: float = 2.0
+    scale_to_zero_after: int = 1200
+    evaluate_every: int = 20
+    cold_start_ticks: int = 64
 
-    def __init__(self, *, target_concurrency: int = 1, max_instances: int = 8,
-                 min_instances: int = 0, queue_capacity: int = 64,
-                 stable_window: int = 600, panic_window: int = 60,
-                 panic_threshold: float = 2.0, scale_to_zero_after: int = 1200,
-                 evaluate_every: int = 20, cold_start_ticks: int = 64):
-        if target_concurrency < 1:
+    def __post_init__(self) -> None:
+        if self.target_concurrency < 1:
             raise ValueError("target_concurrency must be >= 1")
-        if max_instances < 1:
+        if self.max_instances < 1:
             raise ValueError("max_instances must be >= 1")
-        if not 0 <= min_instances <= max_instances:
+        if not 0 <= self.min_instances <= self.max_instances:
             raise ValueError("need 0 <= min_instances <= max_instances")
-        if queue_capacity < 1:
+        if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if stable_window < 1 or panic_window < 1 or evaluate_every < 1:
+        if (self.stable_window < 1 or self.panic_window < 1
+                or self.evaluate_every < 1):
             raise ValueError("windows and evaluate_every must be >= 1 tick")
-        if panic_window > stable_window:
+        if self.panic_window > self.stable_window:
             raise ValueError("panic_window must not exceed stable_window")
-        if panic_threshold <= 1.0:
+        if self.panic_threshold <= 1.0:
             raise ValueError("panic_threshold must be > 1.0")
-        if scale_to_zero_after < 1:
+        if self.scale_to_zero_after < 1:
             raise ValueError("scale_to_zero_after must be >= 1 tick")
-        if cold_start_ticks < 0:
+        if self.cold_start_ticks < 0:
             raise ValueError("cold_start_ticks must be >= 0")
-        set_field = object.__setattr__
-        set_field(self, "target_concurrency", int(target_concurrency))
-        set_field(self, "max_instances", int(max_instances))
-        set_field(self, "min_instances", int(min_instances))
-        set_field(self, "queue_capacity", int(queue_capacity))
-        set_field(self, "stable_window", int(stable_window))
-        set_field(self, "panic_window", int(panic_window))
-        set_field(self, "panic_threshold", float(panic_threshold))
-        set_field(self, "scale_to_zero_after", int(scale_to_zero_after))
-        set_field(self, "evaluate_every", int(evaluate_every))
-        set_field(self, "cold_start_ticks", int(cold_start_ticks))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("ScalingConfig is immutable; use replace()")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("ScalingConfig is immutable; use replace()")
-
-    def replace(self, **changes) -> "ScalingConfig":
-        """A copy with the given knobs swapped (dataclasses.replace style)."""
-        fields: Dict[str, Any] = {name: getattr(self, name)
-                                  for name in _CONFIG_FIELDS}
-        unknown = set(changes) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise TypeError("unknown scaling fields: %s" % sorted(unknown))
-        fields.update(changes)
-        return ScalingConfig(**fields)
+        for name, value in converted_fields(self):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def pinned(cls, instances: int = 1, **overrides) -> "ScalingConfig":
@@ -155,41 +132,11 @@ class ScalingConfig:
         return cls(min_instances=instances, max_instances=instances,
                    **overrides)
 
-    def fingerprint(self) -> Tuple:
-        """Identity tuple for result-cache keying and spec equality."""
-        return tuple(getattr(self, name) for name in _CONFIG_FIELDS)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Round-trippable view (JSON exporters, `from_dict`)."""
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScalingConfig":
-        """Inverse of :meth:`as_dict`."""
-        return cls(**{name: data[name] for name in _CONFIG_FIELDS})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScalingConfig):
-            return NotImplemented
-        return self.fingerprint() == other.fingerprint()
-
-    def __hash__(self) -> int:
-        return hash(self.fingerprint())
-
     def __repr__(self) -> str:
         return "ScalingConfig(target=%d, instances=%d..%d, queue=%d)" % (
             self.target_concurrency, self.min_instances, self.max_instances,
             self.queue_capacity,
         )
-
-    # -- pickling (slots, no __dict__) -------------------------------------
-
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
-
-    def __setstate__(self, state):
-        for name in _CONFIG_FIELDS:
-            object.__setattr__(self, name, state[name])
 
 
 class ScalingEvent:

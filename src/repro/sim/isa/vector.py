@@ -29,7 +29,10 @@ hand-written scalar program — the anchor the equivalence suite pins.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
+
+from repro.frozen import converted_fields
 
 #: Named geometries for the CLI knob: VLEN bits and lane count.
 _PRESETS = {
@@ -41,19 +44,22 @@ _PRESETS = {
 _NONE_NAMES = ("off", "none", "scalar", "")
 
 
+@dataclass(frozen=True, kw_only=True, slots=True)
 class VectorConfig:
     """Vector unit geometry: register width (bits) and lane count."""
 
-    __slots__ = ("vlen", "lanes")
+    vlen: int = 256
+    lanes: int = 2
 
-    def __init__(self, vlen: int = 256, lanes: int = 2):
-        if vlen < 64 or vlen % 64:
+    def __post_init__(self) -> None:
+        if self.vlen < 64 or self.vlen % 64:
             raise ValueError(
-                "vlen must be a positive multiple of 64 bits, got %r" % vlen)
-        if lanes < 1:
-            raise ValueError("lanes must be >= 1, got %r" % lanes)
-        self.vlen = vlen
-        self.lanes = lanes
+                "vlen must be a positive multiple of 64 bits, got %r"
+                % self.vlen)
+        if self.lanes < 1:
+            raise ValueError("lanes must be >= 1, got %r" % self.lanes)
+        for name, value in converted_fields(self):
+            object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
         """Stable identity string (feeds the result-cache digest)."""
@@ -87,16 +93,6 @@ class VectorConfig:
                 raise ValueError("unknown vector key %r" % key)
             kwargs[key] = int(value.strip())
         return cls(**kwargs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, VectorConfig)
-                and self.fingerprint() == other.fingerprint())
-
-    def __hash__(self) -> int:
-        return hash(self.fingerprint())
-
-    def __repr__(self) -> str:
-        return "VectorConfig(vlen=%d, lanes=%d)" % (self.vlen, self.lanes)
 
 
 def elements_per_instr(width_bits: int, ewidth: int) -> int:

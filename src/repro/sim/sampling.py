@@ -38,7 +38,10 @@ nearly all the speedup while eliminating the dominant error source.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
+
+from repro.frozen import converted_fields
 
 #: Replay modes, in cost order.
 FAST_FORWARD = 0
@@ -62,29 +65,29 @@ _PRESETS = {
 _NONE_NAMES = ("off", "none", "full", "")
 
 
+@dataclass(frozen=True, kw_only=True, slots=True)
 class SamplingConfig:
     """Window geometry for sampled simulation (instruction counts)."""
 
-    __slots__ = ("interval", "detail", "warmup", "jitter", "min_insts")
+    interval: int = 8192
+    detail: int = 1024
+    warmup: int = 256
+    jitter: bool = True
+    min_insts: int = 6144
 
-    def __init__(self, interval: int = 8192, detail: int = 1024,
-                 warmup: int = 256, jitter: bool = True,
-                 min_insts: int = 6144):
-        if detail < 1:
+    def __post_init__(self) -> None:
+        if self.detail < 1:
             raise ValueError("detail window must be >= 1 instruction")
-        if warmup < 0:
+        if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        if interval < warmup + detail:
+        if self.interval < self.warmup + self.detail:
             raise ValueError(
                 "interval (%d) must cover warmup+detail (%d+%d)"
-                % (interval, warmup, detail))
-        if min_insts < 0:
+                % (self.interval, self.warmup, self.detail))
+        if self.min_insts < 0:
             raise ValueError("min_insts must be >= 0")
-        self.interval = interval
-        self.detail = detail
-        self.warmup = warmup
-        self.jitter = bool(jitter)
-        self.min_insts = min_insts
+        for name, value in converted_fields(self):
+            object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
         """Stable identity string (feeds the result-cache digest)."""
@@ -164,19 +167,3 @@ class SamplingConfig:
             if detail_end < start + interval:
                 yield (start + interval, filler)
             k += 1
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SamplingConfig)
-                and self.fingerprint() == other.fingerprint())
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return hash(self.fingerprint())
-
-    def __repr__(self) -> str:
-        return ("SamplingConfig(interval=%d, detail=%d, warmup=%d, "
-                "jitter=%s, min_insts=%d)" % (
-                    self.interval, self.detail, self.warmup, self.jitter,
-                    self.min_insts))

@@ -2,6 +2,7 @@
 cache bypass, and the zero-overhead disabled path."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -23,8 +24,7 @@ def _fresh_checkpoints():
 
 
 def chaos_spec(**overrides):
-    fields = dict(function="fibonacci-go", isa="riscv",
-                  time=SCALE.time, space=SCALE.space,
+    fields = dict(function="fibonacci-go", isa="riscv", scale=SCALE,
                   faults=FaultPlan.chaos(seed=7))
     fields.update(overrides)
     return MeasurementSpec(**fields)
@@ -39,7 +39,7 @@ class TestSpecWithFaults:
 
     def test_replace_swaps_the_plan(self):
         spec = chaos_spec()
-        plain = spec.replace(faults=None)
+        plain = replace(spec, faults=None)
         assert plain.faults is None
         assert plain.function == spec.function
 
@@ -116,7 +116,7 @@ class TestCacheBypass:
         spec = chaos_spec()
         run_measurement_matrix([spec], jobs=1, cache=cache)
         assert cache.stats()["entries"] == 0  # not written...
-        plain = spec.replace(faults=None)
+        plain = replace(spec, faults=None)
         run_measurement_matrix([plain], jobs=1, cache=cache)
         assert cache.stats()["entries"] == 1  # ...while plain specs are
 

@@ -141,13 +141,14 @@ SALT_PROBE = """
 import json
 
 from repro.core.parallel import execute_task
+from repro.core.scale import SimScale
 from repro.core.spec import MeasurementSpec
 from repro.serverless.engine import install_docker
 from repro.serverless.faas import FaasPlatform
 from repro.workloads.catalog import get_function
 
 point = execute_task(MeasurementSpec(function="hotel-reservation-go",
-                                     isa="riscv", time=2048, space=32,
+                                     isa="riscv", scale=SimScale(2048, 32),
                                      db="cassandra"))
 payment = get_function("paymentservice-nodejs")
 engine = install_docker("riscv")

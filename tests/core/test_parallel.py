@@ -10,13 +10,12 @@ import pytest
 
 from repro.core.harness import ExperimentHarness, clear_boot_checkpoint_cache
 from repro.core.parallel import (
-    MeasurementTask,
     execute_task,
     resolve_jobs,
     run_measurement_matrix,
-    task_digest,
 )
 from repro.core.scale import SimScale
+from repro.core.spec import MeasurementSpec
 from repro.workloads.catalog import HOTEL_FUNCTIONS, get_function
 
 SCALE = SimScale(time=4096, space=32)
@@ -31,14 +30,13 @@ def _fresh_checkpoints():
 
 def sample_tasks():
     return [
-        MeasurementTask(function="aes-go", isa="riscv",
-                        time=SCALE.time, space=SCALE.space),
-        MeasurementTask(function="fibonacci-python", isa="riscv",
-                        time=SCALE.time, space=SCALE.space),
-        MeasurementTask(function=HOTEL_FUNCTIONS[0].name, isa="riscv",
-                        time=SCALE.time, space=SCALE.space, db="redis"),
-        MeasurementTask(function=HOTEL_FUNCTIONS[5].name, isa="x86",
-                        time=SCALE.time, space=SCALE.space, db="redis"),
+        MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE),
+        MeasurementSpec(function="fibonacci-python", isa="riscv",
+                        scale=SCALE),
+        MeasurementSpec(function=HOTEL_FUNCTIONS[0].name, isa="riscv",
+                        scale=SCALE, db="redis"),
+        MeasurementSpec(function=HOTEL_FUNCTIONS[5].name, isa="x86",
+                        scale=SCALE, db="redis"),
     ]
 
 
@@ -79,8 +77,7 @@ class TestSerialParallelEquality:
 
     def test_execute_task_equals_direct_harness(self):
         # The scheduler's unit of work is exactly the serial protocol.
-        task = MeasurementTask(function="aes-go", isa="riscv",
-                               time=SCALE.time, space=SCALE.space)
+        task = MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE)
         scheduled = execute_task(task)
         clear_boot_checkpoint_cache()
         harness = ExperimentHarness(isa="riscv", scale=SCALE, seed=0)
@@ -106,8 +103,8 @@ class TestCacheIdentity:
     def test_hotel_tasks_cache_too(self, tmp_path):
         from repro.core.rescache import ResultCache
 
-        task = MeasurementTask(function=HOTEL_FUNCTIONS[1].name, isa="riscv",
-                               time=SCALE.time, space=SCALE.space, db="redis")
+        task = MeasurementSpec(function=HOTEL_FUNCTIONS[1].name, isa="riscv",
+                               scale=SCALE, db="redis")
         cache = ResultCache(tmp_path / "rescache")
         (cold,) = run_measurement_matrix([task], jobs=1, cache=cache)
         (warm,) = run_measurement_matrix([task], jobs=1, cache=cache)
@@ -137,41 +134,38 @@ class TestResolveJobs:
 
 class TestDigests:
     def test_digest_distinguishes_every_key_component(self):
-        base = MeasurementTask(function="aes-go", isa="riscv",
-                               time=SCALE.time, space=SCALE.space)
+        base = MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE)
         variants = [
-            MeasurementTask(function="auth-go", isa="riscv",
-                            time=SCALE.time, space=SCALE.space),
-            MeasurementTask(function="aes-go", isa="x86",
-                            time=SCALE.time, space=SCALE.space),
-            MeasurementTask(function="aes-go", isa="riscv",
-                            time=SCALE.time * 2, space=SCALE.space),
-            MeasurementTask(function="aes-go", isa="riscv",
-                            time=SCALE.time, space=SCALE.space * 2),
-            MeasurementTask(function="aes-go", isa="riscv",
-                            time=SCALE.time, space=SCALE.space, seed=1),
-            MeasurementTask(function="aes-go", isa="riscv",
-                            time=SCALE.time, space=SCALE.space, db="redis"),
-            MeasurementTask(function="aes-go", isa="riscv",
-                            time=SCALE.time, space=SCALE.space, requests=4),
+            MeasurementSpec(function="auth-go", isa="riscv", scale=SCALE),
+            MeasurementSpec(function="aes-go", isa="x86", scale=SCALE),
+            MeasurementSpec(function="aes-go", isa="riscv",
+                            scale=SimScale(time=SCALE.time * 2,
+                                           space=SCALE.space)),
+            MeasurementSpec(function="aes-go", isa="riscv",
+                            scale=SimScale(time=SCALE.time,
+                                           space=SCALE.space * 2)),
+            MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE,
+                            seed=1),
+            MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE,
+                            db="redis"),
+            MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE,
+                            requests=4),
         ]
-        digests = {task_digest(task) for task in variants}
-        digests.add(task_digest(base))
+        digests = {task.digest() for task in variants}
+        digests.add(base.digest())
         assert len(digests) == len(variants) + 1
 
     def test_digest_sees_platform_config(self):
         from repro.core.config import platform_for
         from repro.core.dse import DesignSpace
 
-        base = MeasurementTask(function="aes-go", isa="riscv",
-                               time=SCALE.time, space=SCALE.space)
+        base = MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE)
         space = DesignSpace(isa="riscv", scale=SCALE)
-        tweaked = MeasurementTask(
-            function="aes-go", isa="riscv", time=SCALE.time,
-            space=SCALE.space,
+        tweaked = MeasurementSpec(
+            function="aes-go", isa="riscv", scale=SCALE,
             platform=space._platform_for({"l2_size": 64 * 1024}))
-        stock = MeasurementTask(
-            function="aes-go", isa="riscv", time=SCALE.time,
-            space=SCALE.space, platform=platform_for("riscv"))
-        assert task_digest(base) == task_digest(stock)
-        assert task_digest(base) != task_digest(tweaked)
+        stock = MeasurementSpec(
+            function="aes-go", isa="riscv", scale=SCALE,
+            platform=platform_for("riscv"))
+        assert base.digest() == stock.digest()
+        assert base.digest() != tweaked.digest()

@@ -10,15 +10,19 @@ from repro.core.rescache import (
     ResultCache,
     cache_enabled,
     default_cache_dir,
-    measurement_digest,
     resolve_cache,
 )
+from repro.core.spec import MeasurementSpec
+
+
+def digest_of(function="aes-go"):
+    return MeasurementSpec(function=function).digest()
 
 
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        digest = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",))
+        digest = digest_of()
         assert cache.get(digest) is None
         assert cache.put(digest, {"payload": 42})
         assert cache.get(digest) == {"payload": 42}
@@ -26,7 +30,7 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        digest = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",))
+        digest = digest_of()
         cache.put(digest, "value")
         path = tmp_path / ("%s.pkl" % digest)
         # Different corruptions raise different exceptions out of
@@ -38,7 +42,7 @@ class TestResultCache:
 
     def test_version_skew_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        digest = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",))
+        digest = digest_of()
         path = tmp_path / ("%s.pkl" % digest)
         with open(path, "wb") as handle:
             pickle.dump({"version": -1, "measurement": "stale"}, handle)
@@ -47,8 +51,7 @@ class TestResultCache:
     def test_clear_and_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
         for index in range(3):
-            cache.put(measurement_digest("fn%d" % index, "riscv", 1, 1, 0, ()),
-                      index)
+            cache.put(digest_of("fn%d" % index), index)
         stats = cache.stats()
         assert stats["entries"] == 3
         assert stats["bytes"] > 0
@@ -59,16 +62,16 @@ class TestResultCache:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         cache = ResultCache(blocker / "sub")
-        digest = measurement_digest("aes-go", "riscv", 2048, 32, 0, ())
+        digest = digest_of()
         assert cache.get(digest) is None
         assert not cache.put(digest, "value")
 
     def test_digest_includes_code_salt(self, monkeypatch):
         import repro.core.rescache as rescache
 
-        before = measurement_digest("aes-go", "riscv", 2048, 32, 0, ())
+        before = digest_of()
         monkeypatch.setattr(rescache, "CODE_SALT", "rescache-v999")
-        after = measurement_digest("aes-go", "riscv", 2048, 32, 0, ())
+        after = digest_of()
         assert before != after
 
 
@@ -95,7 +98,7 @@ class TestCacheCli:
     def test_stats_and_clear(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = ResultCache()
-        cache.put(measurement_digest("aes-go", "riscv", 2048, 32, 0, ()), 1)
+        cache.put(digest_of(), 1)
 
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out

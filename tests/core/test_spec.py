@@ -1,12 +1,13 @@
 """MeasurementSpec and measure() dispatcher tests."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core import reproduce
 from repro.core.harness import clear_boot_checkpoint_cache
-from repro.core.parallel import MeasurementTask, run_measurement_matrix
+from repro.core.parallel import run_measurement_matrix
 from repro.core.rescache import ResultCache
 from repro.core.scale import BENCH, SimScale
 from repro.core.spec import MeasurementSpec
@@ -52,7 +53,7 @@ class TestSpecSemantics:
 
     def test_replace(self):
         spec = MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE)
-        other = spec.replace(isa="x86")
+        other = replace(spec, isa="x86")
         assert other.isa == "x86"
         assert other.function == "aes-go"
         assert other.scale == SCALE
@@ -63,16 +64,13 @@ class TestSpecSemantics:
         two = MeasurementSpec(function="aes-go", isa="riscv", scale=SCALE)
         assert one == two
         assert hash(one) == hash(two)
-        assert one != two.replace(seed=1)
+        assert one != replace(two, seed=1)
 
     def test_pickle_round_trip(self):
         spec = MeasurementSpec(function="aes-go", scale=SCALE, trace=True)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.trace is True
-
-    def test_measurement_task_alias(self):
-        assert MeasurementTask is MeasurementSpec
 
 
 class TestMeasureDispatcher:
@@ -130,7 +128,7 @@ class TestTracedSpecCacheBypass:
         assert first.trace is not None
         assert cache.stats()["entries"] == 0
 
-        untraced = spec.replace(trace=False)
+        untraced = replace(spec, trace=False)
         run_measurement_matrix([untraced], jobs=1, cache=cache)
         assert cache.stats()["entries"] == 1
         # and a cache hit never satisfies a traced request

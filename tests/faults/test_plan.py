@@ -44,7 +44,7 @@ class TestFaultPlan:
         assert hash(plan) == hash(FaultPlan.chaos(seed=7))
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
-        assert clone.fingerprint() == plan.fingerprint()
+        assert clone.specs == plan.specs
 
     def test_chaos_arms_every_failure_mode(self):
         plan = FaultPlan.chaos(seed=0, rate=0.25, stall_ticks=16)

@@ -1,5 +1,6 @@
 """Platform-seam tests: cluster config, bit-identity, chaos, digests."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -78,25 +79,27 @@ class TestClusterConfig:
         config = ClusterConfig(nodes=3, placement="spread")
         with pytest.raises(AttributeError):
             config.nodes = 5
-        changed = config.replace(node_capacity=4)
+        changed = dataclasses.replace(config, node_capacity=4)
         assert changed.nodes == 3
         assert changed.node_capacity == 4
         assert config.node_capacity is None  # original untouched
         with pytest.raises(TypeError):
-            config.replace(machines=9)
-        assert ClusterConfig.from_dict(config.as_dict()) == config
+            dataclasses.replace(config, machines=9)
+        assert ClusterConfig(**dataclasses.asdict(config)) == config
         assert hash(changed) == hash(
-            ClusterConfig.from_dict(changed.as_dict()))
+            ClusterConfig(**dataclasses.asdict(changed)))
 
     def test_pickle_and_fingerprint(self):
+        from repro.core.spec import key_form
         from repro.serverless.platform import ClusterConfig
 
         config = ClusterConfig(nodes=4, placement="spread",
                                node_fail_rate=0.1)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
-        assert clone.fingerprint() == config.fingerprint()
-        assert config.fingerprint() != ClusterConfig(nodes=4).fingerprint()
+        # The config's key form is its field tuple.
+        assert key_form(clone) == key_form(config)
+        assert key_form(config) != key_form(ClusterConfig(nodes=4))
 
 
 class TestBitIdentity:
@@ -262,22 +265,18 @@ class TestClusterBehaviour:
 
 class TestClusterSpecIdentity:
     def test_cluster_extends_spec_identity_and_digest(self):
-        from repro.core.parallel import task_digest
-        from repro.core.rescache import measurement_digest
         from repro.core.spec import MeasurementSpec
         from repro.serverless.platform import ClusterConfig
+        from tests.core.test_spec_identity import PINNED_DIGESTS
 
-        plain = MeasurementSpec(function="fibonacci-python")
-        clustered = plain.replace(cluster=ClusterConfig(nodes=3))
+        plain = MeasurementSpec(function="fibonacci-go")
+        clustered = dataclasses.replace(plain, cluster=ClusterConfig(nodes=3))
         assert plain != clustered
-        assert task_digest(plain) != task_digest(clustered)
+        assert plain.digest() != clustered.digest()
         # Specs minted before the cluster field existed hash the same:
         # a None cluster must not perturb any pre-existing digest.
-        legacy = measurement_digest(
-            "fibonacci-python", "riscv", 2048, 32, 0, ("fp",))
-        explicit = measurement_digest(
-            "fibonacci-python", "riscv", 2048, 32, 0, ("fp",), cluster=None)
-        assert legacy == explicit
+        explicit = MeasurementSpec(function="fibonacci-go", cluster=None)
+        assert explicit.digest() == PINNED_DIGESTS["default"]
 
     def test_spec_round_trips_with_cluster(self):
         from repro.core.spec import MeasurementSpec

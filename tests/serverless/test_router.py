@@ -1,5 +1,7 @@
 """Serving-layer tests: router, autoscaler, determinism, invariants."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,12 +51,14 @@ class TestScalingConfig:
         config = ScalingConfig(target_concurrency=3)
         with pytest.raises(AttributeError):
             config.target_concurrency = 5
-        changed = config.replace(max_instances=2, min_instances=1)
+        changed = dataclasses.replace(config, max_instances=2,
+                                      min_instances=1)
         assert changed.target_concurrency == 3
         assert changed.max_instances == 2
         assert config.max_instances == 8  # original untouched
-        assert ScalingConfig.from_dict(config.as_dict()) == config
-        assert hash(changed) == hash(ScalingConfig.from_dict(changed.as_dict()))
+        assert ScalingConfig(**dataclasses.asdict(config)) == config
+        assert hash(changed) == hash(
+            ScalingConfig(**dataclasses.asdict(changed)))
 
     def test_pinned_disables_autoscaling(self):
         from repro.serverless.scaler import ScalingConfig
@@ -63,10 +67,12 @@ class TestScalingConfig:
         assert pinned.min_instances == pinned.max_instances == 2
 
     def test_fingerprint_distinguishes_knobs(self):
+        from repro.core.spec import key_form
         from repro.serverless.scaler import ScalingConfig
 
-        assert (ScalingConfig().fingerprint()
-                != ScalingConfig(queue_capacity=32).fingerprint())
+        # The config's key form is its field tuple.
+        assert (key_form(ScalingConfig())
+                != key_form(ScalingConfig(queue_capacity=32)))
 
 
 class TestWindowedAverage:
@@ -327,11 +333,12 @@ class TestPipelineBitIdentity:
         engine/faas machinery but may not leak state into measurements.
         """
         from repro.core.parallel import execute_task
+        from repro.core.scale import SimScale
         from repro.core.spec import MeasurementSpec
         from repro.serverless.loadgen import arrival_ticks
 
         spec = MeasurementSpec(function="fibonacci-python", isa="riscv",
-                               time=2048, space=32)
+                               scale=SimScale(time=2048, space=32))
         # Warm the process-local boot-checkpoint cache first: the very
         # first in-process measurement carries zero-valued atomic-CPU
         # stat keys in raw_dump that checkpoint-restored runs don't — a
@@ -345,19 +352,15 @@ class TestPipelineBitIdentity:
         assert before == after
 
     def test_scaling_extends_spec_identity_and_digest(self):
-        from repro.core.parallel import task_digest
-        from repro.core.rescache import measurement_digest
         from repro.core.spec import MeasurementSpec
         from repro.serverless.scaler import ScalingConfig
+        from tests.core.test_spec_identity import PINNED_DIGESTS
 
-        plain = MeasurementSpec(function="fibonacci-python")
-        scaled = plain.replace(scaling=ScalingConfig())
+        plain = MeasurementSpec(function="fibonacci-go")
+        scaled = dataclasses.replace(plain, scaling=ScalingConfig())
         assert plain != scaled
-        assert task_digest(plain) != task_digest(scaled)
+        assert plain.digest() != scaled.digest()
         # Specs minted before the scaling field existed hash the same:
         # a None scaling must not perturb any pre-existing digest.
-        legacy = measurement_digest(
-            "fibonacci-python", "riscv", 2048, 32, 0, ("fp",))
-        explicit = measurement_digest(
-            "fibonacci-python", "riscv", 2048, 32, 0, ("fp",), scaling=None)
-        assert legacy == explicit
+        explicit = MeasurementSpec(function="fibonacci-go", scaling=None)
+        assert explicit.digest() == PINNED_DIGESTS["default"]

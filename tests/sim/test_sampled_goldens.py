@@ -36,13 +36,20 @@ PROGRAMS = {
 }
 
 GEOMETRIES = {
-    "fast": SamplingConfig(512, 256, 128, True, 0),
-    "balanced": SamplingConfig(1024, 640, 128, True, 0),
-    "accurate": SamplingConfig(2048, 1984, 64, True, 0),
-    "no-jitter": SamplingConfig(1024, 256, 128, False, 0),
-    "no-warmup": SamplingConfig(768, 256, 0, True, 0),
-    "back-to-back": SamplingConfig(200, 200, 0, False, 0),
-    "split": SamplingConfig(48, 13, 5, True, 0),
+    "fast": SamplingConfig(interval=512, detail=256, warmup=128,
+                           jitter=True, min_insts=0),
+    "balanced": SamplingConfig(interval=1024, detail=640, warmup=128,
+                               jitter=True, min_insts=0),
+    "accurate": SamplingConfig(interval=2048, detail=1984, warmup=64,
+                               jitter=True, min_insts=0),
+    "no-jitter": SamplingConfig(interval=1024, detail=256, warmup=128,
+                                jitter=False, min_insts=0),
+    "no-warmup": SamplingConfig(interval=768, detail=256, warmup=0,
+                                jitter=True, min_insts=0),
+    "back-to-back": SamplingConfig(interval=200, detail=200, warmup=0,
+                                   jitter=False, min_insts=0),
+    "split": SamplingConfig(interval=48, detail=13, warmup=5, jitter=True,
+                            min_insts=0),
 }
 
 
@@ -50,7 +57,8 @@ def ends_on_window(length):
     """Windows at ``[0, d)`` and ``[length - d, length)``: the second
     detail window closes on the program's last instruction."""
     detail = length // 3
-    return SamplingConfig(length - detail, detail, 0, False, 0)
+    return SamplingConfig(interval=length - detail, detail=detail, warmup=0,
+                          jitter=False, min_insts=0)
 
 
 def sampled_run(program_name, isa, geometry):

@@ -3,6 +3,7 @@ bit-identity anchors, and result-cache/spec identity threading."""
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -142,30 +143,27 @@ class TestAnchors:
 class TestIdentity:
     def test_digest_unchanged_when_sampling_none(self):
         """Digests minted before sampling existed must stay valid."""
-        from repro.core.rescache import measurement_digest
+        from repro.core.spec import MeasurementSpec
+        from tests.core.test_spec_identity import PINNED_DIGESTS
 
-        legacy = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",))
-        explicit = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",),
-                                      sampling=None)
-        assert legacy == explicit
+        explicit = MeasurementSpec(function="fibonacci-go", sampling=None)
+        assert explicit.digest() == PINNED_DIGESTS["default"]
 
     def test_digest_changes_with_sampling(self):
-        from repro.core.rescache import measurement_digest
+        from repro.core.spec import MeasurementSpec
 
-        plain = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",))
-        sampled = measurement_digest(
-            "aes-go", "riscv", 2048, 32, 0, ("fp",),
-            sampling=SamplingConfig().fingerprint())
-        assert plain != sampled
+        plain = MeasurementSpec(function="aes-go", isa="riscv")
+        sampled = replace(plain, sampling=SamplingConfig())
+        assert plain.digest() != sampled.digest()
 
     def test_spec_identity_tracks_sampling(self):
         from repro.core.spec import MeasurementSpec
 
         plain = MeasurementSpec(function="aes-go", isa="riscv")
-        sampled = plain.replace(sampling=SamplingConfig())
+        sampled = replace(plain, sampling=SamplingConfig())
         assert plain != sampled
-        assert sampled.replace(sampling=None) == plain
-        assert hash(sampled.replace(sampling=None)) == hash(plain)
+        assert replace(sampled, sampling=None) == plain
+        assert hash(replace(sampled, sampling=None)) == hash(plain)
 
     def test_spec_pickle_round_trip(self):
         from repro.core.spec import MeasurementSpec

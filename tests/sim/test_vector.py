@@ -3,6 +3,7 @@ scalar-fallback byte-identity anchors, identity/digest threading, and the
 RVV-vs-fixed-width stream divergence."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -193,30 +194,27 @@ class TestVectorStreams:
 class TestIdentity:
     def test_digest_unchanged_when_vector_none(self):
         """Digests minted before the vector layer existed must stay valid."""
-        from repro.core.rescache import measurement_digest
+        from repro.core.spec import MeasurementSpec
+        from tests.core.test_spec_identity import PINNED_DIGESTS
 
-        legacy = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",))
-        explicit = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",),
-                                      vector=None)
-        assert legacy == explicit
+        explicit = MeasurementSpec(function="fibonacci-go", vector=None)
+        assert explicit.digest() == PINNED_DIGESTS["default"]
 
     def test_digest_changes_with_vector(self):
-        from repro.core.rescache import measurement_digest
+        from repro.core.spec import MeasurementSpec
 
-        plain = measurement_digest("aes-go", "riscv", 2048, 32, 0, ("fp",))
-        vectored = measurement_digest(
-            "aes-go", "riscv", 2048, 32, 0, ("fp",),
-            vector=VectorConfig.parse("rvv256").fingerprint())
-        assert plain != vectored
+        plain = MeasurementSpec(function="aes-go", isa="riscv")
+        vectored = replace(plain, vector=VectorConfig.parse("rvv256"))
+        assert plain.digest() != vectored.digest()
 
     def test_spec_identity_tracks_vector(self):
         from repro.core.spec import MeasurementSpec
 
         plain = MeasurementSpec(function="aes-go", isa="riscv")
-        vectored = plain.replace(vector=VectorConfig.parse("rvv256"))
+        vectored = replace(plain, vector=VectorConfig.parse("rvv256"))
         assert plain != vectored
-        assert vectored.replace(vector=None) == plain
-        assert hash(vectored.replace(vector=None)) == hash(plain)
+        assert replace(vectored, vector=None) == plain
+        assert hash(replace(vectored, vector=None)) == hash(plain)
 
     def test_spec_pickle_round_trip(self):
         from repro.core.spec import MeasurementSpec
@@ -243,5 +241,5 @@ class TestIdentity:
                                scale=TEST, seed=0)
         plain = execute_task(spec)
         vectored = execute_task(
-            spec.replace(vector=VectorConfig.parse("rvv256")))
+            replace(spec, vector=VectorConfig.parse("rvv256")))
         assert vectored.cold.instructions < plain.cold.instructions
