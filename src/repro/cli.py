@@ -580,7 +580,10 @@ def _experiment_spec_from(args):
     if getattr(args, "spec", None):
         from pathlib import Path
 
-        text = Path(args.spec).read_text()
+        try:
+            text = Path(args.spec).read_text()
+        except OSError as error:
+            raise SystemExit("cannot read --spec file: %s" % error)
         if args.spec.endswith((".yaml", ".yml")):
             spec = ExperimentSpec.from_yaml(text)
         else:
@@ -615,10 +618,11 @@ def cmd_experiment_run(args) -> int:
     """Run a study and write its versioned result artifact."""
     from repro.experiments import run_experiment
 
-    spec = _experiment_spec_from(args)
-    print("experiment %s (%s): %d point(s), spec fingerprint %s"
-          % (spec.name, spec.kind, spec.point_count(), spec.fingerprint()))
     try:
+        spec = _experiment_spec_from(args)
+        print("experiment %s (%s): %d point(s), spec fingerprint %s"
+              % (spec.name, spec.kind, spec.point_count(),
+                 spec.fingerprint()))
         result = run_experiment(spec, jobs=args.jobs, cache=_cache_from(args),
                                 progress=lambda line: print("  " + line))
     except (KeyError, ValueError) as error:

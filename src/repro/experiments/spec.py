@@ -27,10 +27,17 @@ cost model (:mod:`repro.experiments.cost`) completes the story by
 scaling CPU time share with the same grant, so the classic perf-cost
 memory sweep has a real knee.
 
-Like every config object in this repo (kw-only, ``__slots__``,
-``fingerprint()``, ``as_dict``/``from_dict``), the spec is hand-rolled
-rather than a dataclass: it was written for Python 3.9, which lacks
-``dataclass(kw_only=True)``.
+A measure point lowers to a :class:`~repro.core.spec.MeasurementSpec`,
+whose result-cache key comes from three tags on its fields: *identity*
+fields (function, ISA, scale, seed, requests, datastore, platform — the
+``memory_mb`` knob arrives as a platform) are always in the key,
+*only-when-set* fields (the ``sampling`` and ``vector`` knobs among
+them) only when set, and a set *cache-bypass* field keeps a point out
+of the cache.  The study spec itself stays a hand-written class, not a
+dataclass: its constructor merges defaults and checks every knob's
+type and value, so a malformed document fails with a ``ValueError``
+that names the key, and its :meth:`~ExperimentSpec.fingerprint` is
+embedded in every committed artifact.
 """
 
 from __future__ import annotations
@@ -102,7 +109,23 @@ SERVE_KNOBS: Dict[str, Any] = {
 
 _KNOBS_BY_KIND = {"measure": MEASURE_KNOBS, "serve": SERVE_KNOBS}
 
-_SCALAR_TYPES = (str, int, float, bool, type(None))
+_TEXT = (str,)
+_OPTIONAL_TEXT = (str, type(None))
+_INT = (int,)
+_NUMBER = (int, float)
+
+#: The JSON types each knob of either kind accepts; a ``bool`` is never
+#: taken for a number.
+KNOB_TYPES: Dict[str, Tuple[type, ...]] = {
+    "function": _TEXT, "isa": _TEXT, "db": _OPTIONAL_TEXT, "seed": _INT,
+    "requests": _INT, "time_scale": _INT, "space_scale": _INT,
+    "memory_mb": _INT, "sampling": _OPTIONAL_TEXT, "vector": _OPTIONAL_TEXT,
+    "profile": _TEXT, "rps": _NUMBER, "arrivals": _INT,
+    "target_concurrency": _INT, "min_instances": _INT, "max_instances": _INT,
+    "queue_capacity": _INT, "scale_to_zero_after": _INT, "nodes": _INT,
+    "placement": _TEXT, "node_capacity": (int, type(None)),
+    "node_fail": _NUMBER,
+}
 
 
 def platform_for_memory(isa: str, memory_mb: int) -> Optional[PlatformConfig]:
@@ -137,9 +160,16 @@ def platform_for_memory(isa: str, memory_mb: int) -> Optional[PlatformConfig]:
     )
 
 
-def _require_scalar(context: str, value: Any) -> None:
-    if not isinstance(value, _SCALAR_TYPES):
-        raise ValueError("%s must be a JSON scalar, got %r" % (context, value))
+def _check_type(context: str, value: Any, types: Tuple[type, ...]) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError("%s must be a JSON scalar of type %s, got %r" % (
+            context, " or ".join("null" if kind is type(None) else kind.__name__
+                                 for kind in types), value))
+
+
+def _check_list(context: str, value: Any) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s must be a list, got %r" % (context, value))
 
 
 class ExperimentPoint:
@@ -245,39 +275,52 @@ class ExperimentSpec:
         if any(ch.isspace() for ch in name):
             raise ValueError("experiment name must not contain whitespace: "
                              "%r" % name)
+        _check_type("title", title, _TEXT)
         if kind not in KINDS:
             raise ValueError("kind must be one of %s, got %r"
                              % ("/".join(KINDS), kind))
+        for label, mapping in (("base", base), ("cost", cost)):
+            if mapping is not None and not isinstance(mapping, dict):
+                raise ValueError("%s must be a mapping, got %r"
+                                 % (label, mapping))
         defaults = _KNOBS_BY_KIND[kind]
         merged = dict(defaults)
         for key, value in (base or {}).items():
             if key not in defaults:
                 raise ValueError("unknown %s knob %r (known: %s)"
                                  % (kind, key, ", ".join(sorted(defaults))))
-            _require_scalar("base knob %r" % key, value)
+            _check_type("base knob %r" % key, value, KNOB_TYPES[key])
             merged[key] = value
         normalized_axes: List[Tuple[str, Tuple[Any, ...]]] = []
         seen = set()
-        for axis_name, values in (axes or ()):
-            if axis_name not in defaults:
+        _check_list("axes", [] if axes is None else axes)
+        for axis in (axes or ()):
+            if not isinstance(axis, (list, tuple)) or len(axis) != 2:
+                raise ValueError("axes entry %r must be a [knob, values] pair"
+                                 % (axis,))
+            axis_name, values = axis
+            if not isinstance(axis_name, str) or axis_name not in defaults:
                 raise ValueError("unknown %s axis %r (known: %s)"
                                  % (kind, axis_name,
                                     ", ".join(sorted(defaults))))
             if axis_name in seen:
                 raise ValueError("duplicate axis %r" % axis_name)
             seen.add(axis_name)
+            _check_list("axis %r values" % axis_name, values)
             values = tuple(values)
             if not values:
                 raise ValueError("axis %r needs at least one value"
                                  % axis_name)
             for value in values:
-                _require_scalar("axis %r value" % axis_name, value)
+                _check_type("axis %r value" % axis_name, value,
+                            KNOB_TYPES[axis_name])
             normalized_axes.append((axis_name, values))
         cost_overrides = {}
         for key, value in (cost or {}).items():
             if key not in COST_RATE_FIELDS:
                 raise ValueError("unknown cost rate %r (known: %s)"
                                  % (key, ", ".join(COST_RATE_FIELDS)))
+            _check_type("cost rate %r" % key, value, _NUMBER)
             cost_overrides[key] = float(value)
         self._set("name", name)
         self._set("title", title or name)
@@ -301,10 +344,30 @@ class ExperimentSpec:
                     return values
             return (self._base[knob],)
 
+        from repro.db import DATASTORES
+        from repro.workloads.catalog import get_function
+
+        for function in candidates("function"):
+            try:
+                get_function(function)
+            except KeyError:
+                raise ValueError("unknown function %r (see `python -m "
+                                 "repro list`)" % function) from None
+        for isa in candidates("isa"):
+            try:
+                platform_for(isa)
+            except ValueError as error:
+                raise ValueError("isa knob: %s" % error) from None
+        for db in candidates("db"):
+            if db is not None and db not in DATASTORES:
+                raise ValueError("unknown db %r (known: %s)"
+                                 % (db, ", ".join(sorted(DATASTORES))))
         for memory_mb in candidates("memory_mb"):
-            if not isinstance(memory_mb, int) or memory_mb <= 0:
+            if memory_mb <= 0:
                 raise ValueError("memory_mb must be a positive int, got %r"
                                  % (memory_mb,))
+        if self.kind == "measure":
+            self._validate_measure(candidates)
         if self.kind == "serve":
             for profile in candidates("profile"):
                 if profile not in ARRIVAL_PROFILES:
@@ -316,6 +379,28 @@ class ExperimentSpec:
                     raise ValueError("unknown placement %r (known: %s)"
                                      % (placement,
                                         ", ".join(PLACEMENT_POLICIES)))
+
+    @staticmethod
+    def _validate_measure(candidates) -> None:
+        """The checks that let every measure point lower to a spec."""
+        from repro.sim.isa.vector import VectorConfig
+        from repro.sim.sampling import SamplingConfig
+
+        for knob in ("requests", "time_scale", "space_scale"):
+            for value in candidates(knob):
+                if value < 1:
+                    raise ValueError("%s must be >= 1, got %d"
+                                     % (knob, value))
+        for space_scale in candidates("space_scale"):
+            MemoryHierarchyConfig().scaled(space_scale)  # names space_scale
+        for knob, config in (("sampling", SamplingConfig),
+                             ("vector", VectorConfig)):
+            for value in candidates(knob):
+                try:
+                    config.parse(value)
+                except ValueError as error:
+                    raise ValueError("%s knob %r: %s"
+                                     % (knob, value, error)) from None
 
     # -- accessors ----------------------------------------------------
 
@@ -381,14 +466,13 @@ class ExperimentSpec:
         if unknown:
             raise ValueError("unknown spec keys: %s"
                              % ", ".join(sorted(unknown)))
-        axes = data.get("axes") or []
         return cls(
             name=data.get("name", ""),
             title=data.get("title", ""),
             kind=data.get("kind", ""),
-            base=data.get("base") or {},
-            axes=[(axis[0], axis[1]) for axis in axes],
-            cost=data.get("cost") or {},
+            base=data.get("base"),
+            axes=data.get("axes"),
+            cost=data.get("cost"),
         )
 
     @classmethod
@@ -406,7 +490,11 @@ class ExperimentSpec:
             raise RuntimeError(
                 "PyYAML is not installed; pass a JSON spec (json.loads + "
                 "ExperimentSpec.from_dict) or install pyyaml")
-        return cls.from_dict(yaml.safe_load(text))
+        try:
+            document = yaml.safe_load(text)
+        except yaml.YAMLError as error:
+            raise ValueError("malformed YAML spec: %s" % error) from None
+        return cls.from_dict(document)
 
     def fingerprint(self) -> str:
         """Stable content digest of the canonical form (16 hex chars).

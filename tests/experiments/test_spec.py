@@ -1,17 +1,29 @@
 """ExperimentSpec: roundtrip, fingerprints, matrix expansion, validation."""
 
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import ExperimentSpec, platform_for_memory
+from repro.experiments.cost import COST_RATE_FIELDS
 from repro.experiments.spec import (
+    KNOB_TYPES,
     MAX_L2_BYTES,
     MEASURE_KNOBS,
     MEMORY_REFERENCE_MB,
     MIN_L2_BYTES,
+    SERVE_KNOBS,
     SPEC_SCHEMA,
 )
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def sweep_spec(**overrides):
@@ -211,3 +223,137 @@ class TestValidation:
         assert reseeded.name == spec.name
         assert reseeded.axes == spec.axes
         assert spec.seed == 0
+
+    def test_knob_types_cover_both_kinds(self):
+        knobs = set(MEASURE_KNOBS) | set(SERVE_KNOBS)
+        assert set(KNOB_TYPES) == knobs
+        for defaults in (MEASURE_KNOBS, SERVE_KNOBS):
+            for knob, value in defaults.items():
+                assert isinstance(value, KNOB_TYPES[knob]), knob
+
+    @pytest.mark.parametrize("document, fragment", [
+        ({"axes": [["seed"]]}, "axes"),
+        ({"axes": "seed"}, "axes"),
+        ({"axes": [["seed", 3]]}, "seed"),
+        ({"base": ["seed"]}, "base"),
+        ({"cost": [["pue", 1.2]]}, "cost"),
+        ({"base": {"memory_mb": True}}, "memory_mb"),
+        ({"base": {"seed": "x"}}, "seed"),
+        ({"kind": "serve", "base": {"nodes": "3"}}, "nodes"),
+        ({"base": {"function": "no-such-function"}}, "function"),
+        ({"base": {"isa": "mips"}}, "isa"),
+        ({"base": {"sampling": "interval=x"}}, "sampling"),
+        ({"base": {"space_scale": 24}}, "space_scale"),
+        ({"cost": {"pue": "high"}}, "pue"),
+    ])
+    def test_malformed_documents_name_the_key(self, document, fragment):
+        document = dict({"name": "bad", "kind": "measure"}, **document)
+        with pytest.raises(ValueError, match=fragment):
+            ExperimentSpec.from_dict(document)
+
+    def test_malformed_yaml_is_a_value_error(self):
+        pytest.importorskip("yaml")
+        with pytest.raises(ValueError, match="YAML"):
+            ExperimentSpec.from_yaml("name: x\nkind: [measure\n")
+
+
+# -- the loader fuzz test --------------------------------------------------
+
+FUZZ_DOCUMENTS = {
+    "measure": {
+        "name": "fuzz", "kind": "measure",
+        "base": {"function": "fibonacci-go", "time_scale": 2048,
+                 "space_scale": 32},
+        "axes": [["seed", [0, 1]], ["isa", ["riscv", "x86"]]],
+        "cost": {"pue": 1.2},
+    },
+    "serve": {
+        "name": "fuzz", "kind": "serve",
+        "base": {"function": "fibonacci-go", "arrivals": 20},
+        "axes": [["target_concurrency", [1, 2]]],
+    },
+}
+KNOBS = {"measure": MEASURE_KNOBS, "serve": SERVE_KNOBS}
+NAMES = st.text(alphabet="abcdefgh_", min_size=1, max_size=6)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5000),
+    st.floats(-10.0, 10.0, allow_nan=False), st.text(max_size=8),
+    st.sampled_from(["riscv", "x86", "redis", "fast", "rvv256",
+                     "hotel-geo-go", "spread", "burst", "interval=64"]))
+JSON_VALUES = st.one_of(JSON_SCALARS,
+                        st.lists(JSON_SCALARS, max_size=3),
+                        st.dictionaries(NAMES, JSON_SCALARS, max_size=2))
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid document with one part broken, and the key names an
+    error about it may use."""
+    kind = draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    document = copy.deepcopy(FUZZ_DOCUMENTS[kind])
+    knobs = KNOBS[kind]
+    mutation = draw(st.sampled_from(
+        ["top-key", "top-value", "shape", "unknown-knob", "knob", "axis",
+         "axis-entry", "cost"]))
+    if mutation == "top-key":
+        key = draw(NAMES.filter(lambda name: name not in document))
+        document[key] = draw(JSON_VALUES)
+        return document, (key,)
+    if mutation == "top-value":
+        key = draw(st.sampled_from(["name", "title", "kind", "schema"]))
+        document[key] = draw(JSON_VALUES.filter(
+            lambda value: value not in ("measure", "serve")))
+        return document, (key,)
+    if mutation == "shape":
+        key = draw(st.sampled_from(["base", "axes", "cost"]))
+        container = list if key == "axes" else dict
+        document[key] = draw(JSON_VALUES.filter(
+            lambda value: not isinstance(value, container)))
+        return document, (key,)
+    if mutation == "unknown-knob":
+        key = draw(NAMES.filter(lambda name: name not in knobs))
+        document["base"][key] = draw(JSON_SCALARS)
+        return document, (key,)
+    if mutation == "knob":
+        knob = draw(st.sampled_from(sorted(knobs)))
+        document["base"][knob] = draw(JSON_VALUES)
+        return document, (knob,)
+    if mutation == "axis":
+        knob = draw(st.sampled_from(sorted(knobs)))
+        document["axes"] = [[knob, draw(JSON_VALUES)]]
+        return document, (knob,)
+    if mutation == "axis-entry":
+        document["axes"] = [draw(JSON_VALUES)]
+        return document, ("axes", "axis")
+    key = draw(st.one_of(st.sampled_from(COST_RATE_FIELDS), NAMES))
+    document["cost"] = {key: draw(JSON_VALUES)}
+    return document, (key,)
+
+
+@given(case=malformed_documents())
+@settings(max_examples=400)
+def test_loader_fuzz(case):
+    """A malformed document either builds a spec whose measure points
+    lower, or raises a ValueError that names the broken key."""
+    document, names = case
+    try:
+        spec = ExperimentSpec.from_dict(document)
+    except ValueError as error:
+        assert any(name in str(error) for name in names), (names, error)
+        return
+    if spec.kind == "measure":
+        for point in spec.expand():
+            point.measurement_spec()
+
+
+def test_cli_reports_a_malformed_spec_without_a_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "kind": "measure",
+                                "base": {"bogus": 1}}))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "experiment", "run", "--spec",
+         str(path)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode != 0
+    assert "unknown measure knob 'bogus'" in done.stderr
+    assert "Traceback" not in done.stderr
