@@ -25,15 +25,21 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.sim.mem.cache import Cache, _CounterView, _is_pow2
+from repro.sim.mem.cache import _POLICIES, Cache, _CounterView, _is_pow2
 from repro.sim.mem.dram import DramModel
-from repro.sim.mem.prefetcher import make_prefetcher
+from repro.sim.mem.prefetcher import PREFETCHER_KINDS, make_prefetcher
 from repro.sim.mem.tlb import PAGE_SHIFT, Tlb
 from repro.sim.statistics import StatGroup
 
 
 class MemoryHierarchyConfig:
-    """Geometry and latency knobs (defaults = Table 4.1)."""
+    """Geometry and latency knobs (defaults = Table 4.1).
+
+    A size, associativity, line size or TLB size below one, a negative
+    latency or prefetch degree, or an unknown replacement policy or
+    prefetcher kind raises a ``ValueError`` naming the field.  Whether
+    a geometry divides into power-of-two sets is :meth:`scaled`'s check.
+    """
 
     def __init__(
         self,
@@ -70,6 +76,18 @@ class MemoryHierarchyConfig:
         self.prefetch_d_degree = prefetch_d_degree
         self.prefetch_i_kind = prefetch_i_kind
         self.prefetch_d_kind = prefetch_d_kind
+        for name in _POSITIVE_FIELDS:
+            _check_count(name, getattr(self, name), 1)
+        for name in _NON_NEGATIVE_FIELDS:
+            _check_count(name, getattr(self, name), 0)
+        for name, choices in (("replacement", _POLICIES),
+                              ("prefetch_i_kind", PREFETCHER_KINDS),
+                              ("prefetch_d_kind", PREFETCHER_KINDS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    "MemoryHierarchyConfig.%s must be one of %s, got %r"
+                    % (name, ", ".join(choices), value))
 
     def scaled(self, space_scale: int) -> "MemoryHierarchyConfig":
         """Shrink capacities by ``space_scale`` (see repro.core.scale).
@@ -111,6 +129,22 @@ class MemoryHierarchyConfig:
             prefetch_i_kind=self.prefetch_i_kind,
             prefetch_d_kind=self.prefetch_d_kind,
         )
+
+
+#: Sizes a memory system needs at least one of.
+_POSITIVE_FIELDS = ("l1i_size", "l1i_assoc", "l1d_size", "l1d_assoc",
+                    "l2_size", "l2_assoc", "line_size", "itlb_entries",
+                    "dtlb_entries")
+
+#: Latencies and prefetch degrees, which may be zero.
+_NON_NEGATIVE_FIELDS = ("l1_latency", "l2_latency", "prefetch_i_degree",
+                        "prefetch_d_degree")
+
+
+def _check_count(name, value, least):
+    if type(value) is not int or value < least:
+        raise ValueError("MemoryHierarchyConfig.%s must be an integer >= %d, "
+                         "got %r" % (name, least, value))
 
 
 class CoreMemSystem:

@@ -64,6 +64,10 @@ class TestDesignSpace:
         with pytest.raises(ValueError):
             DesignSpace().axis("l2_size", [])
 
+    def test_memory_axis_checked_when_added(self):
+        with pytest.raises(ValueError, match="l2_assoc"):
+            DesignSpace().axis("l2_assoc", [4, 0])
+
     def test_sweep_without_axes_rejected(self):
         with pytest.raises(ValueError):
             DesignSpace().sweep(get_function("aes-go"))
@@ -172,6 +176,21 @@ class TestCli:
         assert str(exited.value.code) == (
             "--axis %s: O3Config.%s must be an integer >= 1, got 0"
             % (axis, field))
+
+    @pytest.mark.parametrize("axis, message", [
+        ("l2_assoc=0", "MemoryHierarchyConfig.l2_assoc must be an integer "
+                       ">= 1, got 0"),
+        ("prefetch_d_degree=-1", "MemoryHierarchyConfig.prefetch_d_degree "
+                                 "must be an integer >= 0, got -1"),
+        ("replacement=bogus", "MemoryHierarchyConfig.replacement must be "
+                              "one of fifo, lru, random, got 'bogus'"),
+    ])
+    def test_dse_rejects_a_bad_memory_axis_before_running(self, axis,
+                                                          message):
+        with pytest.raises(SystemExit) as exited:
+            main(["dse", "fibonacci-go", "--axis", axis,
+                  "--time-scale", "2048", "--space-scale", "32"])
+        assert str(exited.value.code) == "--axis %s: %s" % (axis, message)
 
     def test_unknown_function_errors(self):
         with pytest.raises(KeyError):

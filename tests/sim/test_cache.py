@@ -43,6 +43,41 @@ class TestGeometry:
             make_cache(policy="plru")
 
 
+#: Every MemoryHierarchyConfig count: the least value it accepts.
+MEM_COUNTS = {"l1i_size": 1, "l1i_assoc": 1, "l1d_size": 1, "l1d_assoc": 1,
+              "l2_size": 1, "l2_assoc": 1, "line_size": 1,
+              "itlb_entries": 1, "dtlb_entries": 1, "l1_latency": 0,
+              "l2_latency": 0, "prefetch_i_degree": 0,
+              "prefetch_d_degree": 0}
+
+
+class TestMemoryHierarchyConfig:
+    @pytest.mark.parametrize("field", sorted(MEM_COUNTS))
+    def test_count_below_its_least_names_the_field(self, field):
+        least = MEM_COUNTS[field]
+        with pytest.raises(ValueError, match=r"MemoryHierarchyConfig\.%s "
+                           r"must be an integer >= %d, got %d$"
+                           % (field, least, least - 1)):
+            MemoryHierarchyConfig(**{field: least - 1})
+        assert getattr(MemoryHierarchyConfig(**{field: least}),
+                       field) == least
+
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(ValueError, match="l2_size"):
+            MemoryHierarchyConfig(l2_size="512")
+
+    @pytest.mark.parametrize("field", ["replacement", "prefetch_i_kind",
+                                       "prefetch_d_kind"])
+    def test_unknown_name_names_the_field(self, field):
+        with pytest.raises(ValueError, match=r"MemoryHierarchyConfig\.%s "
+                           r"must be one of .*, got 'bogus'$" % field):
+            MemoryHierarchyConfig(**{field: "bogus"})
+
+    def test_defaults_and_scaled_copies_are_valid(self):
+        config = MemoryHierarchyConfig()
+        assert config.scaled(32).l2_size == config.l2_size // 32
+
+
 class TestAccessPath:
     def test_first_access_misses_then_hits(self):
         cache = make_cache()
