@@ -127,8 +127,8 @@ class MeasurementSpec:
     requests: int = _field(IDENTITY, 10)
     db: Optional[str] = _field(IDENTITY, None, lambda spec: (spec.db or "",))
     platform: Optional[PlatformConfig] = _field(
-        IDENTITY, None,
-        lambda spec: ((spec.platform or platform_for(spec.isa)).fingerprint(),))
+        IDENTITY, None, lambda spec: (
+            (spec.platform or platform_for(spec.isa)).fingerprint(),))
     scaling: Optional[ScalingConfig] = _field(WHEN_SET, None)
     sampling: Optional[SamplingConfig] = _field(WHEN_SET, None)
     cluster: Optional[ClusterConfig] = _field(WHEN_SET, None)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PlatformConfig, platform_for
 from repro.core.scale import SimScale
@@ -162,9 +162,10 @@ def platform_for_memory(isa: str, memory_mb: int) -> Optional[PlatformConfig]:
 
 def _check_type(context: str, value: Any, types: Tuple[type, ...]) -> None:
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError("%s must be a JSON scalar of type %s, got %r" % (
-            context, " or ".join("null" if kind is type(None) else kind.__name__
-                                 for kind in types), value))
+        names = ["null" if kind is type(None) else kind.__name__
+                 for kind in types]
+        raise ValueError("%s must be a JSON scalar of type %s, got %r"
+                         % (context, " or ".join(names), value))
 
 
 def _check_list(context: str, value: Any) -> None:
@@ -253,8 +254,10 @@ class ExperimentSpec:
     ordered sequence of ``(knob, values)`` pairs whose cartesian product
     defines the matrix; ``cost`` overrides
     :class:`~repro.experiments.cost.CostModel` rates.  Unknown knobs,
-    axes or cost keys are errors — a spec either describes a runnable
-    study or refuses to construct.
+    axes or cost keys, values of the wrong JSON type (see
+    :data:`KNOB_TYPES`) and values no point could run with are
+    errors — a spec either describes a runnable study or refuses to
+    construct with a ``ValueError`` that names the key.
 
     Value semantics: equality and hashing go through
     :meth:`fingerprint`, a digest of the canonical serialized form, so
@@ -266,7 +269,7 @@ class ExperimentSpec:
 
     def __init__(self, *, name: str, kind: str, title: str = "",
                  base: Optional[Dict[str, Any]] = None,
-                 axes: Optional[Iterable[Tuple[str, Iterable[Any]]]] = None,
+                 axes: Optional[Sequence[Tuple[str, Sequence[Any]]]] = None,
                  cost: Optional[Dict[str, float]] = None):
         from repro.experiments.cost import COST_RATE_FIELDS
 
@@ -293,7 +296,8 @@ class ExperimentSpec:
             merged[key] = value
         normalized_axes: List[Tuple[str, Tuple[Any, ...]]] = []
         seen = set()
-        _check_list("axes", [] if axes is None else axes)
+        if axes is not None:
+            _check_list("axes", axes)
         for axis in (axes or ()):
             if not isinstance(axis, (list, tuple)) or len(axis) != 2:
                 raise ValueError("axes entry %r must be a [knob, values] pair"
@@ -345,6 +349,8 @@ class ExperimentSpec:
             return (self._base[knob],)
 
         from repro.db import DATASTORES
+        from repro.sim.isa.vector import VectorConfig
+        from repro.sim.sampling import SamplingConfig
         from repro.workloads.catalog import get_function
 
         for function in candidates("function"):
@@ -367,7 +373,22 @@ class ExperimentSpec:
                 raise ValueError("memory_mb must be a positive int, got %r"
                                  % (memory_mb,))
         if self.kind == "measure":
-            self._validate_measure(candidates)
+            # What every point needs to lower to a MeasurementSpec.
+            for knob in ("requests", "time_scale"):
+                for value in candidates(knob):
+                    if value < 1:
+                        raise ValueError("%s must be >= 1, got %d"
+                                         % (knob, value))
+            for space_scale in candidates("space_scale"):
+                MemoryHierarchyConfig().scaled(space_scale)  # names the knob
+            for knob, config in (("sampling", SamplingConfig),
+                                 ("vector", VectorConfig)):
+                for value in candidates(knob):
+                    try:
+                        config.parse(value)
+                    except ValueError as error:
+                        raise ValueError("%s knob %r: %s"
+                                         % (knob, value, error)) from None
         if self.kind == "serve":
             for profile in candidates("profile"):
                 if profile not in ARRIVAL_PROFILES:
@@ -379,28 +400,6 @@ class ExperimentSpec:
                     raise ValueError("unknown placement %r (known: %s)"
                                      % (placement,
                                         ", ".join(PLACEMENT_POLICIES)))
-
-    @staticmethod
-    def _validate_measure(candidates) -> None:
-        """The checks that let every measure point lower to a spec."""
-        from repro.sim.isa.vector import VectorConfig
-        from repro.sim.sampling import SamplingConfig
-
-        for knob in ("requests", "time_scale", "space_scale"):
-            for value in candidates(knob):
-                if value < 1:
-                    raise ValueError("%s must be >= 1, got %d"
-                                     % (knob, value))
-        for space_scale in candidates("space_scale"):
-            MemoryHierarchyConfig().scaled(space_scale)  # names space_scale
-        for knob, config in (("sampling", SamplingConfig),
-                             ("vector", VectorConfig)):
-            for value in candidates(knob):
-                try:
-                    config.parse(value)
-                except ValueError as error:
-                    raise ValueError("%s knob %r: %s"
-                                     % (knob, value, error)) from None
 
     # -- accessors ----------------------------------------------------
 
