@@ -207,14 +207,13 @@ def build(choices):
     """A cacheable spec; ``platform`` is drawn as a token because the
     platform depends on the drawn ISA."""
     choices = dict(choices)
-    token = choices.pop("platform", None)
-    isa = choices.get("isa", "riscv")
+    token = choices.pop("platform")
     if token == "stock":
-        platform = platform_for(isa)
+        platform = platform_for(choices["isa"])
     elif token is None:
         platform = None
     else:
-        platform = platform_for_memory(isa, token)
+        platform = platform_for_memory(choices["isa"], token)
     return MeasurementSpec(platform=platform, **choices)
 
 
