@@ -53,7 +53,11 @@ class BloomFilter:
 
 
 class SSTable:
-    """An immutable sorted run of (key, value) pairs with a bloom filter."""
+    """An immutable sorted run of (key, value) pairs with a bloom filter.
+
+    Each value is a ``(row, size)`` entry, ``size`` being the row's
+    :func:`encoded_size` taken when it was written, or a tombstone.
+    """
 
     __slots__ = ("keys", "values", "bloom", "bytes")
 
@@ -66,7 +70,7 @@ class SSTable:
         for key, value in items:
             self.bloom.add(key)
             if value is not _TOMBSTONE:
-                self.bytes += encoded_size(value)
+                self.bytes += value[1]
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Binary search; returns (found, value)."""
@@ -82,7 +86,7 @@ class SSTable:
 
 
 class _ColumnFamily:
-    """One table: memtable + SSTable list."""
+    """One table: memtable + SSTable list (values as in :class:`SSTable`)."""
 
     __slots__ = ("memtable", "sstables")
 
@@ -133,7 +137,7 @@ class CassandraStore(Datastore):
         family = self._family(table)
         self.receipt.add(ops=1)
         size = encoded_size(record)
-        family.memtable[key] = dict(record)
+        family.memtable[key] = (dict(record), size)
         # Commit-log append + memtable insert.
         self.receipt.add(bytes_written=size, serializations=1, cpu_work=size // 8 + 6)
         if len(family.memtable) >= self.memtable_flush_threshold:
@@ -190,10 +194,10 @@ class CassandraStore(Datastore):
             if value is _TOMBSTONE:
                 self.receipt.add(structure_misses=1)
                 return None
-            size = encoded_size(value)
+            row, size = value
             self.receipt.add(rows_scanned=1, rows_returned=1, bytes_read=size,
                              serializations=1, cpu_work=size // 8)
-            return dict(value)
+            return dict(row)
         self.receipt.add(structure_misses=1)  # memtable probe failed
         for sstable in reversed(family.sstables):
             if not sstable.bloom.might_contain(key):
@@ -207,29 +211,36 @@ class CassandraStore(Datastore):
             if found:
                 if value is _TOMBSTONE:
                     return None
-                size = encoded_size(value)
+                row, size = value
                 self.receipt.add(rows_scanned=1, rows_returned=1, bytes_read=size,
                                  serializations=1, cpu_work=size // 8)
-                return dict(value)
+                return dict(row)
             self.receipt.add(structure_misses=1)  # bloom false positive
         return None
 
     def scan(self, table: str) -> Iterator[Dict[str, Any]]:
+        for _key, row in self._scan_pairs(table):
+            yield row
+
+    def _scan_pairs(self, table: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """A table's live ``(key, row)`` pairs in key order, metered as a
+        scan; :class:`~repro.db.cluster.CassandraCluster` merges replicas
+        by these keys."""
         family = self._family(table)
         self.receipt.add(ops=1)
         seen: Dict[str, Any] = {}
         for sstable in family.sstables:
             # Per-run iterator setup + merge bookkeeping per row.
             self.receipt.add(cpu_work=200 + 6 * len(sstable))
-            for key, value in zip(sstable.keys, sstable.values):
-                seen[key] = value
+            seen.update(zip(sstable.keys, sstable.values))
         seen.update(family.memtable)
         for key in sorted(seen):
             value = seen[key]
             if value is _TOMBSTONE:
                 continue
-            self.receipt.add(rows_scanned=1, bytes_read=encoded_size(value), cpu_work=8)
-            yield dict(value)
+            row, size = value
+            self.receipt.add(rows_scanned=1, bytes_read=size, cpu_work=8)
+            yield key, dict(row)
 
     def query(self, table: str, **equals: Any) -> List[Dict[str, Any]]:
         # Cassandra has no ad-hoc secondary scans without an index; model
@@ -251,7 +262,7 @@ class CassandraStore(Datastore):
         for family in self._families.values():
             for value in family.memtable.values():
                 if value is not _TOMBSTONE:
-                    total += encoded_size(value)
+                    total += value[1]
             for sstable in family.sstables:
                 total += sstable.bytes
         return total

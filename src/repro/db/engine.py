@@ -98,6 +98,14 @@ class Datastore:
     Subclasses implement the storage engine; this class provides the
     metering protocol: :attr:`receipt` accumulates work until
     :meth:`take_receipt` harvests and resets it.
+
+    Storage contract: a store takes each row's :func:`encoded_size` once,
+    when the row is written, and keeps it beside the row.  Reads, scans,
+    queries, compaction and :meth:`data_bytes` charge that stored size
+    and never encode a row again.  So a stored row changes only through
+    a write: nothing mutates a record after handing it to a write, nor a
+    row a read returns (reads return shallow copies, which share nested
+    lists and dicts with the stored row).
     """
 
     name = "datastore"

@@ -10,7 +10,7 @@ bench and an example, and exercises a schema'd row-store code path.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.db.engine import BootProfile, Datastore, encoded_size
 
@@ -31,13 +31,18 @@ class TableSchema:
 
 
 class _Table:
-    """Row storage for one schema: a list plus a primary-key index."""
+    """Row storage for one schema: rows by key plus a sorted primary-key
+    index.
+
+    ``rows`` maps each key to ``(row, size)``, ``size`` being the row's
+    :func:`encoded_size` taken when it was written.
+    """
 
     __slots__ = ("schema", "rows", "pk_index")
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self.rows: Dict[str, Dict[str, Any]] = {}
+        self.rows: Dict[str, Tuple[Dict[str, Any], int]] = {}
         self.pk_index: List[str] = []
 
 
@@ -82,7 +87,7 @@ class MariaDbStore(Datastore):
         size = encoded_size(row)
         if key not in tbl.rows:
             bisect.insort(tbl.pk_index, key)
-        tbl.rows[key] = row
+        tbl.rows[key] = (row, size)
         self.receipt.add(index_probes=2, bytes_written=size,
                          serializations=1, cpu_work=size // 8 + 10)
 
@@ -91,11 +96,11 @@ class MariaDbStore(Datastore):
             return None
         tbl = self._table(table)
         self.receipt.add(ops=1, index_probes=2, cpu_work=10)
-        row = tbl.rows.get(key)
-        if row is None:
+        entry = tbl.rows.get(key)
+        if entry is None:
             self.receipt.add(structure_misses=1)
             return None
-        size = encoded_size(row)
+        row, size = entry
         self.receipt.add(rows_scanned=1, rows_returned=1, bytes_read=size,
                          serializations=1, cpu_work=size // 8)
         return dict(row)
@@ -119,8 +124,8 @@ class MariaDbStore(Datastore):
         tbl = self._table(table)
         self.receipt.add(ops=1)
         for key in list(tbl.pk_index):
-            row = tbl.rows[key]
-            self.receipt.add(rows_scanned=1, bytes_read=encoded_size(row), cpu_work=6)
+            row, size = tbl.rows[key]
+            self.receipt.add(rows_scanned=1, bytes_read=size, cpu_work=6)
             yield dict(row)
 
     def query(self, table: str, **equals: Any) -> List[Dict[str, Any]]:
@@ -145,9 +150,9 @@ class MariaDbStore(Datastore):
 
     def data_bytes(self) -> int:
         return sum(
-            encoded_size(row)
+            size
             for table in self._tables.values()
-            for row in table.rows.values()
+            for _row, size in table.rows.values()
         )
 
     def tables(self) -> List[str]:

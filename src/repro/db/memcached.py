@@ -34,8 +34,9 @@ class MemcachedCache:
         self.default_ttl = default_ttl
         self.clock = 0
         self.receipt = WorkReceipt()
-        # slab class -> insertion-ordered {key: (value, chunk, expires_at)}
-        self._slabs: Dict[int, Dict[str, Tuple[Any, int, Optional[int]]]] = {
+        # slab class -> insertion-ordered {key: (value, chunk, expires_at,
+        # size)}, size being the value's encoded_size taken by ``set``.
+        self._slabs: Dict[int, Dict[str, Tuple[Any, int, Optional[int], int]]] = {
             chunk: {} for chunk in _SLAB_SIZES
         }
         self._key_slab: Dict[str, int] = {}
@@ -62,7 +63,8 @@ class MemcachedCache:
 
     def set(self, key: str, value: Any, ttl: Optional[int] = None) -> None:
         self.receipt.add(ops=1)
-        size = encoded_size(value) + len(key)
+        value_size = encoded_size(value)
+        size = value_size + len(key)
         chunk = self._chunk_for(size)
         self.delete(key, quiet=True)
         slab = self._slabs[chunk]
@@ -72,7 +74,7 @@ class MemcachedCache:
             self._evict_any()
         expiry = ttl if ttl is not None else self.default_ttl
         expires_at = self.clock + expiry if expiry is not None else None
-        slab[key] = (value, chunk, expires_at)
+        slab[key] = (value, chunk, expires_at, value_size)
         self._key_slab[key] = chunk
         self.used_bytes += chunk
         self.receipt.add(bytes_written=size, serializations=1, cpu_work=size // 16 + 4)
@@ -85,7 +87,8 @@ class MemcachedCache:
             self.receipt.add(structure_misses=1, cpu_work=3)
             return None
         slab = self._slabs[chunk]
-        value, _chunk, expires_at = slab[key]
+        entry = slab[key]
+        value, _chunk, expires_at, size = entry
         if expires_at is not None and self.clock >= expires_at:
             self.delete(key, quiet=True)
             self.misses += 1
@@ -93,9 +96,8 @@ class MemcachedCache:
             return None
         # LRU refresh.
         del slab[key]
-        slab[key] = (value, chunk, expires_at)
+        slab[key] = entry
         self.hits += 1
-        size = encoded_size(value)
         self.receipt.add(rows_returned=1, bytes_read=size,
                          serializations=1, cpu_work=size // 16 + 3)
         return value
@@ -116,16 +118,16 @@ class MemcachedCache:
                 self.receipt.add(structure_misses=1, cpu_work=3)
                 continue
             slab = self._slabs[chunk]
-            value, _chunk, expires_at = slab[key]
+            entry = slab[key]
+            value, _chunk, expires_at, size = entry
             if expires_at is not None and self.clock >= expires_at:
                 self.delete(key, quiet=True)
                 self.misses += 1
                 self.receipt.add(structure_misses=1, cpu_work=4)
                 continue
             del slab[key]
-            slab[key] = (value, chunk, expires_at)
+            slab[key] = entry
             self.hits += 1
-            size = encoded_size(value)
             self.receipt.add(rows_returned=1, bytes_read=size,
                              serializations=1, cpu_work=size // 16 + 3)
             found[key] = value

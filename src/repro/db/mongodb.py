@@ -11,7 +11,7 @@ of the Fig 4.20 comparison.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.db.engine import BootProfile, Datastore, encoded_size
 
@@ -19,12 +19,16 @@ _BTREE_FANOUT = 128
 
 
 class _Collection:
-    """One collection: documents plus a sorted primary index."""
+    """One collection: documents plus a sorted primary index.
+
+    ``documents`` maps each key to ``(document, size)``, ``size`` being
+    the document's :func:`encoded_size` taken when it was written.
+    """
 
     __slots__ = ("documents", "sorted_keys", "secondary")
 
     def __init__(self):
-        self.documents: Dict[str, Dict[str, Any]] = {}
+        self.documents: Dict[str, Tuple[Dict[str, Any], int]] = {}
         self.sorted_keys: List[str] = []
         self.secondary: Dict[str, Dict[Any, List[str]]] = {}
 
@@ -68,7 +72,7 @@ class MongoStore(Datastore):
             bisect.insort(collection.sorted_keys, key)
         else:
             self._unindex(collection, key)
-        collection.documents[key] = dict(record)
+        collection.documents[key] = (dict(record), size)
         for field, index in collection.secondary.items():
             index.setdefault(record.get(field), []).append(key)
         self.receipt.add(
@@ -82,11 +86,11 @@ class MongoStore(Datastore):
         collection = self._collection(table)
         self.receipt.add(ops=1)
         depth = self._btree_depth(collection)
-        document = collection.documents.get(key)
-        if document is None:
+        entry = collection.documents.get(key)
+        if entry is None:
             self.receipt.add(index_probes=depth, structure_misses=1, cpu_work=depth * 4)
             return None
-        size = encoded_size(document)
+        document, size = entry
         self.receipt.add(
             index_probes=depth,
             rows_scanned=1,
@@ -112,9 +116,10 @@ class MongoStore(Datastore):
         return True
 
     def _unindex(self, collection: _Collection, key: str) -> None:
-        old = collection.documents.get(key)
-        if old is None:
+        entry = collection.documents.get(key)
+        if entry is None:
             return
+        old = entry[0]
         for field, index in collection.secondary.items():
             keys = index.get(old.get(field))
             if keys and key in keys:
@@ -126,7 +131,7 @@ class MongoStore(Datastore):
         """Build a secondary index over an existing collection."""
         collection = self._collection(table)
         index: Dict[Any, List[str]] = {}
-        for key, document in collection.documents.items():
+        for key, (document, _size) in collection.documents.items():
             index.setdefault(document.get(field), []).append(key)
             self.receipt.add(rows_scanned=1, cpu_work=4)
         collection.secondary[field] = index
@@ -145,9 +150,8 @@ class MongoStore(Datastore):
                 self.receipt.add(index_probes=depth, cpu_work=depth * 4)
                 results = []
                 for key in keys:
-                    document = collection.documents[key]
+                    document, size = collection.documents[key]
                     if all(document.get(f) == v for f, v in equals.items()):
-                        size = encoded_size(document)
                         self.receipt.add(
                             rows_scanned=1, rows_returned=1,
                             bytes_read=size, serializations=1, cpu_work=size // 8,
@@ -156,8 +160,7 @@ class MongoStore(Datastore):
                 return results
         # COLLSCAN: the ad-hoc query path MongoDB is known for.
         results = []
-        for document in collection.documents.values():
-            size = encoded_size(document)
+        for document, size in collection.documents.values():
             self.receipt.add(rows_scanned=1, bytes_read=size, cpu_work=size // 16)
             if all(document.get(f) == v for f, v in equals.items()):
                 self.receipt.add(rows_returned=1, serializations=1)
@@ -168,15 +171,13 @@ class MongoStore(Datastore):
         collection = self._collection(table)
         self.receipt.add(ops=1)
         for key in list(collection.sorted_keys):
-            document = collection.documents[key]
-            self.receipt.add(
-                rows_scanned=1, bytes_read=encoded_size(document), cpu_work=8
-            )
+            document, size = collection.documents[key]
+            self.receipt.add(rows_scanned=1, bytes_read=size, cpu_work=8)
             yield dict(document)
 
     def data_bytes(self) -> int:
         return sum(
-            encoded_size(document)
+            size
             for collection in self._collections.values()
-            for document in collection.documents.values()
+            for _document, size in collection.documents.values()
         )

@@ -14,9 +14,18 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.db.engine import BootProfile, Datastore, encoded_size
 
+#: What a missing key reads as in ``_strings`` and ``_hashes``.
+_NO_STRING = (None, 0)
+_NO_HASH = ({}, encoded_size({}), {})
+
 
 class RedisStore(Datastore):
-    """String/hash/zset store with the Datastore record interface on top."""
+    """String/hash/zset store with the Datastore record interface on top.
+
+    Strings hold ``(value, size)`` and hashes ``(mapping, size,
+    field_sizes)``: each size is an :func:`encoded_size` taken when the
+    value, the whole mapping or one field was written.
+    """
 
     name = "redis"
     riscv_friendly = True
@@ -24,43 +33,48 @@ class RedisStore(Datastore):
 
     def __init__(self):
         super().__init__()
-        self._strings: Dict[str, Any] = {}
-        self._hashes: Dict[str, Dict[str, Any]] = {}
+        self._strings: Dict[str, Tuple[Any, int]] = {}
+        self._hashes: Dict[str, Tuple[Dict[str, Any], int, Dict[str, int]]] = {}
         self._zsets: Dict[str, List[Tuple[float, str]]] = {}
 
     # -- string commands ------------------------------------------------------
 
     def set_value(self, key: str, value: Any) -> None:
         size = encoded_size(value)
-        self._strings[key] = value
+        self._strings[key] = (value, size)
         self.receipt.add(bytes_written=size, cpu_work=size // 16 + 2)
 
     def get_value(self, key: str) -> Optional[Any]:
-        value = self._strings.get(key)
+        value, size = self._strings.get(key, _NO_STRING)
         if value is None:
             self.receipt.add(structure_misses=1, cpu_work=2)
             return None
-        self.receipt.add(bytes_read=encoded_size(value), rows_returned=1, cpu_work=3)
+        self.receipt.add(bytes_read=size, rows_returned=1, cpu_work=3)
         return value
 
     # -- hash commands -----------------------------------------------------------
 
     def hset(self, key: str, field: str, value: Any) -> None:
-        self._hashes.setdefault(key, {})[field] = value
-        self.receipt.add(bytes_written=encoded_size(value), cpu_work=3)
+        mapping, _size, field_sizes = self._hashes.get(key, ({}, 0, {}))
+        size = encoded_size(value)
+        mapping[field] = value
+        field_sizes[field] = size
+        self._hashes[key] = (mapping, encoded_size(mapping), field_sizes)
+        self.receipt.add(bytes_written=size, cpu_work=3)
 
     def hget(self, key: str, field: str) -> Optional[Any]:
-        value = self._hashes.get(key, {}).get(field)
+        mapping, _size, field_sizes = self._hashes.get(key, _NO_HASH)
+        value = mapping.get(field)
         if value is None:
             self.receipt.add(structure_misses=1, cpu_work=2)
             return None
-        self.receipt.add(bytes_read=encoded_size(value), rows_returned=1, cpu_work=3)
+        self.receipt.add(bytes_read=field_sizes[field], rows_returned=1, cpu_work=3)
         return value
 
     def hgetall(self, key: str) -> Dict[str, Any]:
-        mapping = dict(self._hashes.get(key, {}))
-        self.receipt.add(bytes_read=encoded_size(mapping), cpu_work=4 + len(mapping))
-        return mapping
+        mapping, size, _field_sizes = self._hashes.get(key, _NO_HASH)
+        self.receipt.add(bytes_read=size, cpu_work=4 + len(mapping))
+        return dict(mapping)
 
     # -- sorted sets (used by geo-style nearest queries) ----------------------------
 
@@ -91,20 +105,24 @@ class RedisStore(Datastore):
     def put(self, table: str, key: str, record: Dict[str, Any]) -> None:
         record_key = self._record_key(table, key)
         self.receipt.add(ops=1)
-        self._hashes[record_key] = dict(record)
+        mapping = dict(record)
+        size = encoded_size(mapping)
+        self._hashes[record_key] = (mapping, size, {
+            field: encoded_size(value) for field, value in mapping.items()})
         self._zsets.setdefault("keys:%s" % table, [])
         self.zadd("keys:%s" % table, 0.0, key)
-        self.receipt.add(bytes_written=encoded_size(record), serializations=1,
-                         cpu_work=encoded_size(record) // 16 + 4)
+        self.receipt.add(bytes_written=size, serializations=1,
+                         cpu_work=size // 16 + 4)
 
     def get(self, table: str, key: str) -> Optional[Dict[str, Any]]:
         self.receipt.add(ops=1)
-        record = self._hashes.get(self._record_key(table, key))
-        if record is None:
+        entry = self._hashes.get(self._record_key(table, key))
+        if entry is None:
             self.receipt.add(structure_misses=1, cpu_work=2)
             return None
-        self.receipt.add(bytes_read=encoded_size(record), rows_returned=1,
-                         serializations=1, cpu_work=encoded_size(record) // 16 + 2)
+        record, size, _field_sizes = entry
+        self.receipt.add(bytes_read=size, rows_returned=1,
+                         serializations=1, cpu_work=size // 16 + 2)
         return dict(record)
 
     def delete(self, table: str, key: str) -> bool:
@@ -122,10 +140,10 @@ class RedisStore(Datastore):
     def scan(self, table: str) -> Iterator[Dict[str, Any]]:
         self.receipt.add(ops=1)
         for _score, key in list(self._zsets.get("keys:%s" % table, [])):
-            record = self._hashes.get(self._record_key(table, key))
-            if record is not None:
-                self.receipt.add(rows_scanned=1, bytes_read=encoded_size(record),
-                                 cpu_work=4)
+            entry = self._hashes.get(self._record_key(table, key))
+            if entry is not None:
+                record, size, _field_sizes = entry
+                self.receipt.add(rows_scanned=1, bytes_read=size, cpu_work=4)
                 yield dict(record)
 
     def query(self, table: str, **equals: Any) -> List[Dict[str, Any]]:
@@ -137,7 +155,7 @@ class RedisStore(Datastore):
         return results
 
     def data_bytes(self) -> int:
-        total = sum(encoded_size(value) for value in self._strings.values())
-        total += sum(encoded_size(mapping) for mapping in self._hashes.values())
+        total = sum(size for _value, size in self._strings.values())
+        total += sum(size for _mapping, size, _fields in self._hashes.values())
         total += sum(16 * len(entries) for entries in self._zsets.values())
         return total

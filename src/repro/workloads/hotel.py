@@ -19,7 +19,7 @@ import random
 import struct
 from typing import Any, Dict, List, Optional
 
-from repro.db.engine import Datastore, encoded_size
+from repro.db.engine import Datastore
 from repro.db.memcached import MemcachedCache
 from repro.sim.isa import ir
 from repro.workloads import crypto
@@ -50,10 +50,12 @@ _GO_APP_LAYERS = {
 #: Document generation (rng text, hex thumbnails, password hashes) costs
 #: far more than storing them, and every measurement task seeds a fresh
 #: datastore — so generate once and replay into each store.  A single
-#: ``pickle.loads`` per replay both deserialises the rows and gives the
-#: store its own independent copies (stores keep references and handlers
-#: update rows in place), an order of magnitude cheaper than per-row
-#: ``copy.deepcopy``.
+#: ``pickle.loads`` per replay both deserialises the rows and gives each
+#: store its own copies: a store keeps a shallow copy of each record, so
+#: two stores seeded from one set of documents would share their nested
+#: lists and dicts.  No handler updates a row in place (see the storage
+#: contract on :class:`~repro.db.engine.Datastore`); one ``pickle.loads``
+#: is an order of magnitude cheaper than per-row ``copy.deepcopy``.
 _DATASET_CACHE: Dict[int, bytes] = {}
 
 

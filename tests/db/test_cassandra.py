@@ -25,10 +25,12 @@ class TestBloomFilter:
 
 class TestSSTable:
     def test_sorted_and_searchable(self):
-        sstable = SSTable([("b", {"v": 2}), ("a", {"v": 1}), ("c", {"v": 3})])
+        sstable = SSTable([("b", ({"v": 2}, 7)), ("a", ({"v": 1}, 7)),
+                           ("c", ({"v": 3}, 7))])
         assert sstable.keys == ["a", "b", "c"]
         found, value = sstable.get("b")
-        assert found and value == {"v": 2}
+        assert found and value == ({"v": 2}, 7)
+        assert sstable.bytes == 21
         found, _value = sstable.get("zz")
         assert not found
 
