@@ -179,23 +179,23 @@ class CassandraCluster(Datastore):
         return existed
 
     def scan(self, table: str) -> Iterator[Dict[str, Any]]:
+        """Every live node's rows merged by key: one row per key, in key
+        order.
+
+        Replicas are not reconciled.  Where copies of a key diverge (a
+        write or delete that a down replica missed), the copy from the
+        highest-indexed live node that still holds the key wins.
+        """
         self._maybe_node_down()
         self.receipt.add(ops=1)
         seen: Dict[str, Dict[str, Any]] = {}
         for node_index, node in enumerate(self.nodes):
             if not self._up[node_index]:
                 continue
-            for row in node.scan(table):
-                seen[self._row_key(row)] = row
+            seen.update(node._scan_pairs(table))
             self._absorb(node_index)
         for key in sorted(seen):
             yield seen[key]
-
-    @staticmethod
-    def _row_key(row: Dict[str, Any]) -> str:
-        import json
-
-        return json.dumps(row, sort_keys=True, default=str)
 
     def query(self, table: str, **equals: Any) -> List[Dict[str, Any]]:
         results = []

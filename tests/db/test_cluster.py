@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.cassandra import CassandraStore
 from repro.db.cluster import CassandraCluster, NodeDownError
 
 
@@ -97,6 +98,38 @@ class TestReplication:
         assert cluster.delete("t", "k")
         assert cluster.get("t", "k") is None
 
+    def test_scan_keeps_equal_rows_under_distinct_keys(self):
+        # Two bookings of one customer, hotel and stay: equal rows under
+        # two keys are two rows, on a cluster as on one store.
+        booking = {"hotel_id": "h0007", "customer": "user0001",
+                   "in_date": "2015-04-02", "out_date": "2015-04-05"}
+        cluster = CassandraCluster(nodes=3, replication=2)
+        store = CassandraStore()
+        for target in (cluster, store):
+            target.put("reservations", "r-1", dict(booking))
+            target.put("reservations", "r-2", dict(booking))
+        assert len(store.query("reservations", hotel_id="h0007")) == 2
+        assert len(cluster.query("reservations", hotel_id="h0007")) == 2
+        assert list(cluster.scan("reservations")) == [booking, booking]
+
+    def test_scan_yields_one_row_per_key_in_key_order(self):
+        cluster = CassandraCluster(nodes=4, replication=3)
+        for key in ("m", "c", "x", "a"):
+            cluster.put("t", key, {"key": key})
+        assert [row["key"] for row in cluster.scan("t")] == ["a", "c", "m", "x"]
+
+    def test_diverged_replicas_highest_live_node_wins(self):
+        cluster = CassandraCluster(nodes=2, replication=2)
+        cluster.put("t", "k", {"v": "old"})
+        cluster.fail_node(0)
+        cluster.put("t", "k", {"v": "new"})  # node 0 misses this write
+        cluster.recover_node(0)
+        assert list(cluster.scan("t")) == [{"v": "new"}]
+        cluster.fail_node(1)
+        cluster.put("t", "k", {"v": "newest"})  # node 1 misses this one
+        cluster.recover_node(1)
+        assert list(cluster.scan("t")) == [{"v": "new"}]
+
 
 class TestClusterAsDatastore:
     def test_receipts_accumulate_coordinator_work(self):
@@ -143,3 +176,5 @@ def test_property_cluster_behaves_like_dict(entries, nodes):
         cluster.put("t", key, {"v": value})
     for key, value in entries.items():
         assert cluster.get("t", key)["v"] == value
+    assert list(cluster.scan("t")) == [{"v": entries[key]}
+                                       for key in sorted(entries)]
