@@ -105,8 +105,7 @@ def _measure_rows(points: List[ExperimentPoint], cost_model: CostModel,
 def _serve_point(point: ExperimentPoint):
     """One deterministic serve run, mirroring ``python -m repro serve``."""
     from repro.serverless.loadgen import arrival_ticks
-    from repro.serverless.platform import ClusterConfig, make_platform
-    from repro.serverless.scaler import ScalingConfig
+    from repro.serverless.platform import make_platform
     from repro.workloads.catalog import get_function
 
     knobs = point.knobs
@@ -118,23 +117,12 @@ def _serve_point(point: ExperimentPoint):
         from repro.workloads.hotel import HotelSuite
 
         services = HotelSuite(make_datastore(db)).services_for(function)
-    cluster = None
-    if knobs["nodes"]:
-        cluster = ClusterConfig(nodes=knobs["nodes"],
-                                placement=knobs["placement"],
-                                node_capacity=knobs["node_capacity"],
-                                node_fail_rate=knobs["node_fail"])
-    platform = make_platform(knobs["isa"], cluster=cluster,
+    platform = make_platform(knobs["isa"], cluster=point.cluster_config(),
                              seed=knobs["seed"])
     platform.registry.push(function.image(knobs["isa"]))
-    scaling = ScalingConfig(
-        target_concurrency=knobs["target_concurrency"],
-        min_instances=knobs["min_instances"],
-        max_instances=knobs["max_instances"],
-        queue_capacity=knobs["queue_capacity"],
-        scale_to_zero_after=knobs["scale_to_zero_after"])
     platform.deploy(function.name, function.name, function.runtime_name,
-                    function.handler, services=services, scaling=scaling)
+                    function.handler, services=services,
+                    scaling=point.scaling_config())
     arrivals = arrival_ticks(knobs["profile"], rps=knobs["rps"],
                              requests=knobs["arrivals"], seed=knobs["seed"])
     return platform.serve(function.name, arrivals,

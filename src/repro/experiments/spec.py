@@ -51,7 +51,8 @@ from repro.core.config import PlatformConfig, platform_for
 from repro.core.scale import SimScale
 from repro.core.spec import MeasurementSpec
 from repro.serverless.loadgen import ARRIVAL_PROFILES
-from repro.serverless.platform import PLACEMENT_POLICIES
+from repro.serverless.platform import PLACEMENT_POLICIES, ClusterConfig
+from repro.serverless.scaler import ScalingConfig
 from repro.sim.mem.hierarchy import MemoryHierarchyConfig
 
 #: Version tag embedded in every serialized spec (and, transitively, in
@@ -108,6 +109,10 @@ SERVE_KNOBS: Dict[str, Any] = {
 }
 
 _KNOBS_BY_KIND = {"measure": MEASURE_KNOBS, "serve": SERVE_KNOBS}
+
+#: Serve knobs that are :class:`ScalingConfig` fields of the same name.
+_SCALING_KNOBS = ("target_concurrency", "min_instances", "max_instances",
+                 "queue_capacity", "scale_to_zero_after")
 
 _TEXT = (str,)
 _OPTIONAL_TEXT = (str, type(None))
@@ -241,6 +246,28 @@ class ExperimentPoint:
             sampling=sampling,
             vector=vector,
         )
+
+    def scaling_config(self) -> ScalingConfig:
+        """A serve point's autoscaler knobs (errors name the knob)."""
+        return ScalingConfig(**{knob: self.knobs[knob]
+                                for knob in _SCALING_KNOBS})
+
+    def cluster_config(self) -> Optional[ClusterConfig]:
+        """A serve point's cluster, or ``None`` for ``nodes=0`` (one
+        host)."""
+        knobs = self.knobs
+        if knobs["nodes"] < 0:
+            raise ValueError("nodes must be >= 0 (0 serves on one host), "
+                             "got %d" % knobs["nodes"])
+        if not 0.0 <= knobs["node_fail"] <= 1.0:
+            raise ValueError("node_fail must be within [0, 1], got %r"
+                             % (knobs["node_fail"],))
+        if not knobs["nodes"]:
+            return None
+        return ClusterConfig(nodes=knobs["nodes"],
+                             placement=knobs["placement"],
+                             node_capacity=knobs["node_capacity"],
+                             node_fail_rate=knobs["node_fail"])
 
     def __repr__(self) -> str:
         return "ExperimentPoint(%s, %s)" % (self.kind, self.label())
@@ -400,6 +427,17 @@ class ExperimentSpec:
                     raise ValueError("unknown placement %r (known: %s)"
                                      % (placement,
                                         ", ".join(PLACEMENT_POLICIES)))
+            # What every point needs to build its arrival trace.
+            for arrivals in candidates("arrivals"):
+                if arrivals < 1:
+                    raise ValueError("arrivals must be >= 1, got %d"
+                                     % arrivals)
+            for rps in candidates("rps"):
+                if not rps > 0:
+                    raise ValueError("rps must be > 0, got %r" % (rps,))
+            for point in self.expand():
+                point.scaling_config()
+                point.cluster_config()
 
     # -- accessors ----------------------------------------------------
 

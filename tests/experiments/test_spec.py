@@ -251,6 +251,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=fragment):
             ExperimentSpec.from_dict(document)
 
+    @pytest.mark.parametrize("document, message", [
+        ({"axes": [["target_concurrency", [1, 0]]]},
+         "^target_concurrency must be >= 1"),
+        ({"base": {"arrivals": 0}}, "^arrivals must be >= 1, got 0"),
+        ({"base": {"rps": 0.0}}, r"^rps must be > 0, got 0\.0"),
+        ({"base": {"min_instances": 9}},
+         "^need 0 <= min_instances <= max_instances"),
+        ({"base": {"nodes": 3, "node_fail": 1.5}},
+         r"^node_fail must be within \[0, 1\], got 1\.5"),
+        ({"base": {"nodes": -1}}, "^nodes must be >= 0"),
+    ], ids=["target_concurrency", "arrivals", "rps", "min_instances",
+            "node_fail", "nodes"])
+    def test_serve_knob_ranges_fail_when_the_spec_is_built(self, document,
+                                                           message):
+        document = dict({"name": "bad", "kind": "serve"}, **document)
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(document)
+
     def test_malformed_yaml_is_a_value_error(self):
         pytest.importorskip("yaml")
         with pytest.raises(ValueError, match="YAML"):
