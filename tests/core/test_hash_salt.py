@@ -4,8 +4,9 @@
 ``PYTHONHASHSEED``, so any output derived from it differs between two
 runs of the same spec.  The lint bans the builtin outside ``__hash__``
 methods (where it only keys in-process dicts and sets); the subprocess
-test runs one Cassandra Hotel point and one paymentservice reply under
-two salts and requires byte-identical output.
+test runs one Cassandra Hotel point, one Online Shop point, one
+paymentservice reply and one served hotel-geo-go trace on a Cassandra
+Hotel suite under two salts and requires byte-identical output.
 
 A second AST lint keeps the simulator's modules free of unused imports.
 """
@@ -143,13 +144,19 @@ import json
 from repro.core.parallel import execute_task
 from repro.core.scale import SimScale
 from repro.core.spec import MeasurementSpec
+from repro.db import make_datastore
 from repro.serverless.engine import install_docker
 from repro.serverless.faas import FaasPlatform
+from repro.serverless.loadgen import arrival_ticks
+from repro.serverless.platform import make_platform
 from repro.workloads.catalog import get_function
+from repro.workloads.hotel import HotelSuite
 
 point = execute_task(MeasurementSpec(function="hotel-reservation-go",
                                      isa="riscv", scale=SimScale(2048, 32),
                                      db="cassandra"))
+shop = execute_task(MeasurementSpec(function="productcatalogservice-go",
+                                    isa="riscv", scale=SimScale(2048, 32)))
 payment = get_function("paymentservice-nodejs")
 engine = install_docker("riscv")
 engine.registry.push(payment.image("riscv"))
@@ -157,8 +164,18 @@ platform = FaasPlatform(engine)
 platform.deploy(payment.name, payment.name, payment.runtime_name,
                 payment.handler)
 reply = platform.invoke(payment.name, payment.default_payload()).result
-print(json.dumps({"point": point.as_dict(full=True), "reply": reply},
-                 sort_keys=True))
+suite = HotelSuite(make_datastore("cassandra"))
+geo = next(fn for fn in suite.functions if fn.name == "hotel-geo-go")
+serving = make_platform("riscv", seed=0)
+serving.registry.push(geo.image("riscv"))
+serving.deploy(geo.name, geo.name, geo.runtime_name, geo.handler,
+               services=suite.services_for(geo))
+served = serving.serve(geo.name, arrival_ticks("poisson", rps=300.0,
+                                               requests=40, seed=0),
+                       payload_factory=geo.default_payload)
+print(json.dumps({"point": point.as_dict(full=True),
+                  "shop": shop.as_dict(full=True), "reply": reply,
+                  "served": served.as_dict()}, sort_keys=True))
 """
 
 
@@ -180,4 +197,6 @@ class TestSaltFreeOutputs:
         one = self.run_probe(1, tmp_path / "salt-1")
         thirty = self.run_probe(30, tmp_path / "salt-30")
         assert '"transaction_id": "TXN-' in one
+        assert '"function": "productcatalogservice-go"' in one
+        assert '"hotel_ids": ["h' in one
         assert one == thirty
