@@ -35,11 +35,22 @@ class WorkReceipt:
         for field in self.FIELDS:
             setattr(self, field, 0)
 
-    def add(self, **amounts: int) -> None:
-        for field, amount in amounts.items():
-            if field not in self.FIELDS:
-                raise KeyError("unknown receipt field %r" % field)
-            setattr(self, field, getattr(self, field) + amount)
+    def add(self, *, ops: int = 0, index_probes: int = 0,
+            rows_scanned: int = 0, rows_returned: int = 0,
+            bytes_read: int = 0, bytes_written: int = 0,
+            serializations: int = 0, cpu_work: int = 0,
+            structure_misses: int = 0, **unknown: int) -> None:
+        if unknown:
+            raise KeyError("unknown receipt field %r" % next(iter(unknown)))
+        self.ops += ops
+        self.index_probes += index_probes
+        self.rows_scanned += rows_scanned
+        self.rows_returned += rows_returned
+        self.bytes_read += bytes_read
+        self.bytes_written += bytes_written
+        self.serializations += serializations
+        self.cpu_work += cpu_work
+        self.structure_misses += structure_misses
 
     def merge(self, other: "WorkReceipt") -> None:
         for field in self.FIELDS:
@@ -67,9 +78,15 @@ class WorkReceipt:
         return "WorkReceipt(%s)" % (busy or "idle")
 
 
+#: The one encoder behind :func:`encoded_size`: what ``json.dumps(value,
+#: separators=(",", ":"), sort_keys=True, default=str)`` would build on
+#: every call.  ``encode`` keeps no state between calls.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, default=str)
+
+
 def encoded_size(value: Any) -> int:
     """Approximate wire/storage size of a value (JSON-encoded bytes)."""
-    return len(json.dumps(value, separators=(",", ":"), sort_keys=True, default=str))
+    return len(_ENCODER.encode(value))
 
 
 class BootProfile:

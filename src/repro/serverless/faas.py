@@ -185,6 +185,14 @@ class KeepAlivePolicy:
         self.max_warm = max_warm
 
     def victims(self, instances: List["FunctionInstance"], now: float) -> List["FunctionInstance"]:
+        if len(instances) <= self.max_warm:
+            # No warm-pool overflow is possible: only the idle timeout
+            # reaps, in pool order.
+            return [
+                instance for instance in instances
+                if instance.state == FunctionState.WAITING
+                and now - instance.last_used >= self.idle_timeout
+            ]
         waiting = [
             instance for instance in instances
             if instance.state == FunctionState.WAITING

@@ -397,8 +397,8 @@ class ClusterPlatform(Router, Platform):
         self._dispatch(pool, heap, order, result)
         self._observe(pool, result)
 
-    def _sample(self, pool, result) -> None:
-        super()._sample(pool, result)
+    def _sample(self, pool, result, in_flight: int) -> None:
+        super()._sample(pool, result, in_flight)
         if len(self.nodes) <= 1:
             return
         counts = tuple(node.population for node in self.nodes)
@@ -435,6 +435,7 @@ class ClusterPlatform(Router, Platform):
                 record.result = {"error": record.error}
                 record.meter("faults.cluster.node_down")
             instance.inflight = []
+            pool.executing -= instance.busy
             instance.busy = 0
             instance.lost = True
             instance.state = FunctionState.DEAD

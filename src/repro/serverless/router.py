@@ -155,7 +155,15 @@ class PooledInstance(FunctionInstance):
 
 
 class FunctionPool:
-    """Everything the router tracks for one deployed function."""
+    """Everything the router tracks for one deployed function.
+
+    ``executing`` is a running total of ``busy`` over ``instances``:
+    whoever changes an instance's ``busy`` changes ``executing`` by the
+    same amount (dispatch adds one, a departure takes one off, a node
+    failure takes off a lost instance's whole count).  Only idle
+    instances otherwise leave the pool, so ``in_flight`` always equals
+    ``sum(i.busy for i in instances) + len(queue)`` without a rescan.
+    """
 
     def __init__(self, name: str, image_name: str, runtime: str,
                  handler: Handler, services: Dict[str, Any],
@@ -171,6 +179,8 @@ class FunctionPool:
         self.autoscaler = ConcurrencyAutoscaler(scaling, name)
         self.instances: List[PooledInstance] = []
         self.queue: deque = deque()
+        #: Requests executing across ``instances`` (the sum of ``busy``).
+        self.executing = 0
         #: Monotone pool-index counter; never reused, so container names
         #: are unique across recycles.
         self.next_index = 0
@@ -187,7 +197,7 @@ class FunctionPool:
     @property
     def in_flight(self) -> int:
         """Demand signal the autoscaler watches: executing + queued."""
-        return sum(inst.busy for inst in self.instances) + len(self.queue)
+        return self.executing + len(self.queue)
 
     @property
     def ready_count(self) -> int:
@@ -481,7 +491,7 @@ class Router:
             record.result = {"error": record.error}
             record.meter("serve.rejected")
             self._trace_instant("rejected", {"sequence": record.sequence})
-            self._sample(pool, result)
+            self._sample(pool, result, pool.in_flight)
             return
         request = QueuedRequest(pool.sequence, self.now, body, record)
         request.ingress = self._ingress_for(pool, record)
@@ -510,6 +520,7 @@ class Router:
         if record in instance.inflight:
             instance.inflight.remove(record)
         instance.busy -= 1
+        pool.executing -= 1
         instance.invocations += 1
         instance.last_used = self.now
         pool.last_active = self.now
@@ -709,6 +720,7 @@ class Router:
             record.cold = candidate.cold_pending
             candidate.cold_pending = False
             candidate.busy += 1
+            pool.executing += 1
             candidate.state = FunctionState.RUNNING
             candidate.inflight.append(record)
             assert candidate.busy <= target, \
@@ -751,7 +763,10 @@ class Router:
         else:
             latency_before = channel.latency_ticks
             try:
-                response = channel.call("invoke", request.payload)
+                # The arrival already sized this body: the request is
+                # encoded once (handlers never mutate their payload).
+                response = channel.call("invoke", request.payload,
+                                        record.request_bytes)
             except Exception as failure:  # noqa: BLE001 - FaaS error surface
                 record.error = "%s: %s" % (type(failure).__name__, failure)
                 record.result = {"error": record.error}
@@ -786,12 +801,12 @@ class Router:
     # -- bookkeeping -------------------------------------------------------
 
     def _observe(self, pool, result) -> None:
-        pool.autoscaler.observe(self.now, pool.in_flight)
-        self._sample(pool, result)
+        in_flight = pool.in_flight
+        pool.autoscaler.observe(self.now, in_flight)
+        self._sample(pool, result, in_flight)
 
-    def _sample(self, pool, result) -> None:
-        sample = (self.now, len(pool.queue), pool.in_flight,
-                  len(pool.instances))
+    def _sample(self, pool, result, in_flight: int) -> None:
+        sample = (self.now, len(pool.queue), in_flight, len(pool.instances))
         if result.samples and result.samples[-1] == sample:
             return
         result.samples.append(sample)
@@ -812,7 +827,7 @@ class Router:
 
     def _schedule_eval(self, pool, heap, order) -> None:
         """Keep evaluations coming while there is anything to decide."""
-        busy = pool.in_flight > 0 or any(
+        busy = pool.executing or pool.queue or any(
             not inst.ready for inst in pool.instances)
         if busy:
             tick = self.now + pool.scaling.evaluate_every

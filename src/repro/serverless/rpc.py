@@ -18,15 +18,33 @@ class RpcError(RuntimeError):
     """Remote call failed (unknown method, handler raised, bad payload)."""
 
 
+#: ``encoded_size({"method": m, "payload": p})`` beyond the sizes of
+#: ``m`` and ``p``: ``{"method":`` + ``,"payload":`` + ``}``, with the
+#: sorted keys and compact separators :func:`encoded_size` uses.
+_ENVELOPE_BYTES = 22
+
+
 class RpcRequest:
-    """One marshalled request."""
+    """One marshalled request.
+
+    ``payload_bytes``, when given, is ``encoded_size(payload)`` already
+    taken by the caller; the envelope then adds only its fixed part
+    instead of encoding the payload again.  A falsy payload is sent as
+    ``{}``, which that size does not describe, so it is always encoded.
+    """
 
     __slots__ = ("method", "payload", "wire_bytes")
 
-    def __init__(self, method: str, payload: Optional[Dict[str, Any]] = None):
+    def __init__(self, method: str, payload: Optional[Dict[str, Any]] = None,
+                 payload_bytes: Optional[int] = None):
         self.method = method
         self.payload = payload or {}
-        self.wire_bytes = encoded_size({"method": method, "payload": self.payload})
+        if payload_bytes is None or not payload:
+            self.wire_bytes = encoded_size(
+                {"method": method, "payload": self.payload})
+        else:
+            self.wire_bytes = (payload_bytes + encoded_size(method)
+                               + _ENVELOPE_BYTES)
 
     def __repr__(self) -> str:
         return "RpcRequest(%s, %dB)" % (self.method, self.wire_bytes)
@@ -74,8 +92,10 @@ class RpcChannel:
             raise ValueError("method %r already registered on %s" % (method, self.name))
         self._methods[method] = handler
 
-    def call(self, method: str, payload: Optional[Dict[str, Any]] = None) -> RpcResponse:
-        request = RpcRequest(method, payload)
+    def call(self, method: str, payload: Optional[Dict[str, Any]] = None,
+             payload_bytes: Optional[int] = None) -> RpcResponse:
+        """Serve one request; ``payload_bytes`` as for :class:`RpcRequest`."""
+        request = RpcRequest(method, payload, payload_bytes)
         self.bytes_in += request.wire_bytes
         faults = self.faults
         if faults is not None:

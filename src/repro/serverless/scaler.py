@@ -284,8 +284,12 @@ class ConcurrencyAutoscaler:
         return (self._area[index]
                 + self.samples[index][1] * (tick - self._ticks[index]))
 
-    def _average(self, now: int, window: int) -> float:
-        """``windowed_average(self.samples, now, window)``, bit for bit."""
+    def _average(self, now: int, window: int,
+                 area: Optional[int] = None) -> float:
+        """``windowed_average(self.samples, now, window)``, bit for bit.
+
+        ``area`` is ``self._integral(now)`` when the caller has it already.
+        """
         if not self.samples:
             return 0.0
         start = now - window
@@ -293,7 +297,9 @@ class ConcurrencyAutoscaler:
             start = 0
         if now <= start:
             return float(self.samples[-1][1])
-        return (self._integral(now) - self._integral(start)) / float(now - start)
+        if area is None:
+            area = self._integral(now)
+        return (area - self._integral(start)) / float(now - start)
 
     @property
     def panicking(self) -> bool:
@@ -307,8 +313,10 @@ class ConcurrencyAutoscaler:
         a panic boundary (the router turns those into scaling events).
         """
         config = self.config
-        stable_avg = self._average(now, config.stable_window)
-        panic_avg = self._average(now, config.panic_window)
+        # Both windows end at `now`: take the area up to it once.
+        area = self._integral(now) if self.samples else None
+        stable_avg = self._average(now, config.stable_window, area)
+        panic_avg = self._average(now, config.panic_window, area)
         want_stable = int(math.ceil(stable_avg / config.target_concurrency))
         want_panic = int(math.ceil(panic_avg / config.target_concurrency))
 

@@ -38,7 +38,9 @@ def oracle_autoscaler(stable_window, panic_window, **knobs):
         ConcurrencyAutoscaler, ScalingConfig, windowed_average)
 
     class Rescanning(ConcurrencyAutoscaler):
-        def _average(self, now, window):
+        def _average(self, now, window, area=None):
+            # `area` (the running integral up to `now`) is ignored: the
+            # oracle rescans the samples for every window.
             return windowed_average(self.samples, now, window)
 
     config = ScalingConfig(stable_window=stable_window,
