@@ -12,12 +12,16 @@ from repro.experiments import (
     experiment_names,
     get_experiment,
     iter_experiments,
+    run_experiment,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
 CATALOG_DOC = os.path.join(REPO_ROOT, "docs", "EXPERIMENT_CATALOG.md")
 ARTIFACT_DIR = os.path.join(REPO_ROOT, "benchmarks", "output", "experiments")
+#: Serve studies never read the result cache, so a rerun serves again.
+SERVE_STUDIES = [spec.name for spec in iter_experiments()
+                 if spec.kind == "serve"]
 
 
 class TestCatalogEntries:
@@ -66,3 +70,16 @@ class TestCommittedArtifacts:
         assert not stale, (
             "catalog spec changed without regenerating artifacts "
             "(python -m repro experiment run <name>): %s" % stale)
+
+    @pytest.mark.parametrize("name", SERVE_STUDIES)
+    def test_serve_study_reruns_byte_identical(self, name):
+        """Each serve study, served again, renders the committed files."""
+        result = run_experiment(get_experiment(name))
+        for suffix, text in (("json", result.to_json()),
+                             ("md", result.render_markdown())):
+            path = os.path.join(ARTIFACT_DIR, "%s.%s" % (name, suffix))
+            with open(path, "rb") as handle:
+                assert text.encode("utf-8") == handle.read(), (
+                    "%s drifted from a fresh run (python -m repro "
+                    "experiment run %s --out benchmarks/output/experiments)"
+                    % (path, name))
