@@ -65,6 +65,17 @@ def _normalize_isa(value: str) -> str:
             "unknown ISA %r (try riscv, x86 or arm)" % value) from None
 
 
+def _normalize_isas(value: str) -> List[str]:
+    """argparse type: a comma-separated ISA list, each item folded."""
+    return [_normalize_isa(item) for item in value.split(",")]
+
+
+def _add_isa_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--isa", default="riscv", type=_normalize_isa,
+                        help="riscv/x86/arm (vendor spellings like riscv64, "
+                             "x86_64, aarch64 accepted)")
+
+
 def _resolve_function(name: str):
     """Catalog lookup that also accepts runtime-less names: ``fibonacci``
     resolves to ``fibonacci-python`` (python, then go, then nodejs)."""
@@ -219,7 +230,7 @@ def cmd_measure(args) -> int:
 def cmd_compare(args) -> int:
     """Compare one function across ISAs."""
     function = get_function(args.function)
-    isas = args.isas.split(",")
+    isas = args.isas
     measurements: Dict[str, Dict] = {}
     for isa in isas:
         hotel_suite = _hotel_services(args.db) if function.suite == "hotel" else None
@@ -768,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     measure = sub.add_parser("measure", help="run the 10-request protocol")
     measure.add_argument("function")
-    measure.add_argument("--isa", default="riscv", choices=["riscv", "x86", "arm"])
+    _add_isa_argument(measure)
     measure.add_argument("--db", default="cassandra")
     measure.add_argument("--seed", type=int, default=0)
     _add_scale_arguments(measure)
@@ -778,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare ISAs for one function")
     compare.add_argument("function")
-    compare.add_argument("--isas", default="riscv,x86")
+    compare.add_argument("--isas", default="riscv,x86", type=_normalize_isas)
     compare.add_argument("--db", default="cassandra")
     compare.add_argument("--seed", type=int, default=0)
     _add_scale_arguments(compare)
@@ -786,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="measure a whole suite")
     suite.add_argument("suite", choices=sorted(SUITES))
-    suite.add_argument("--isa", default="riscv", choices=["riscv", "x86", "arm"])
+    _add_isa_argument(suite)
     suite.add_argument("--db", default="cassandra")
     suite.add_argument("--seed", type=int, default=0)
     _add_scale_arguments(suite)
@@ -801,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse = sub.add_parser("dse", help="design-space exploration sweep")
     dse.add_argument("function")
-    dse.add_argument("--isa", default="riscv", choices=["riscv", "x86", "arm"])
+    _add_isa_argument(dse)
     dse.add_argument("--axis", action="append", required=True,
                      metavar="NAME=V1,V2,...")
     _add_scale_arguments(dse)
@@ -811,9 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="traced measurement: profile table + Chrome JSON")
     trace.add_argument("function")
-    trace.add_argument("--isa", default="riscv", type=_normalize_isa,
-                       help="riscv/x86/arm (vendor spellings like riscv64, "
-                            "x86_64, aarch64 accepted)")
+    _add_isa_argument(trace)
     trace.add_argument("--db", default="cassandra")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--out", default=None, metavar="TRACE_JSON",
@@ -829,8 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="measurement under a seeded, deterministic fault plan")
     chaos.add_argument("function")
-    chaos.add_argument("--isa", default="riscv", type=_normalize_isa,
-                       help="riscv/x86/arm (vendor spellings accepted)")
+    _add_isa_argument(chaos)
     chaos.add_argument("--db", default="cassandra")
     chaos.add_argument("--seed", type=int, default=0,
                        help="measurement seed (simulator determinism)")
@@ -848,8 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="autoscaled multi-instance serving under open-loop load")
     serve.add_argument("function")
-    serve.add_argument("--isa", default="riscv", type=_normalize_isa,
-                       help="riscv/x86/arm (vendor spellings accepted)")
+    _add_isa_argument(serve)
     serve.add_argument("--profile", default="poisson",
                        choices=("poisson", "burst", "diurnal"),
                        help="arrival-trace shape (default poisson)")
@@ -893,16 +900,14 @@ def build_parser() -> argparse.ArgumentParser:
                               help="cold/warm/lukewarm triple for a function")
     lukewarm.add_argument("function")
     lukewarm.add_argument("--intruder", default="fibonacci-python")
-    lukewarm.add_argument("--isa", default="riscv",
-                          choices=["riscv", "x86", "arm"])
+    _add_isa_argument(lukewarm)
     lukewarm.add_argument("--seed", type=int, default=0)
     _add_scale_arguments(lukewarm)
     lukewarm.set_defaults(func=cmd_lukewarm)
 
     pipeline = sub.add_parser("pipeline",
                               help="measure the chained video-analytics pipeline")
-    pipeline.add_argument("--isa", default="riscv",
-                          choices=["riscv", "x86", "arm"])
+    _add_isa_argument(pipeline)
     pipeline.add_argument("--seed", type=int, default=0)
     _add_scale_arguments(pipeline)
     pipeline.set_defaults(func=cmd_pipeline)
@@ -920,8 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = sub.add_parser(
         "calibrate",
         help="bound sampled-simulation error vs full detail")
-    calibrate.add_argument("--isa", default="riscv",
-                           choices=["riscv", "x86", "arm"])
+    _add_isa_argument(calibrate)
     calibrate.add_argument("--db", default="cassandra")
     calibrate.add_argument("--bound", type=float, default=None,
                            help="fail (exit 1) when worst CPI error "

@@ -2,13 +2,33 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.dse import DesignSpace, KNOWN_AXES
 from repro.core.harness import ExperimentHarness, clear_boot_checkpoint_cache
 from repro.core.scale import SimScale
 from repro.workloads.catalog import get_function
 
 SCALE = SimScale(time=2048, space=32)
+FAST = ["--time-scale", "2048", "--space-scale", "32"]
+
+#: Every verb that takes ``--isa``: its argv before the flag, the fast
+#: options that let it run in a test, and a vendor spelling with the ISA
+#: it names.
+ISA_VERBS = {
+    "measure": (["measure", "fibonacci-go"], FAST, "riscv64", "riscv"),
+    "suite": (["suite", "standalone"], FAST + ["--jobs", "1"],
+              "rv64", "riscv"),
+    "dse": (["dse", "fibonacci-go"],
+            FAST + ["--axis", "prefetch_i_degree=0,4", "--jobs", "1"],
+            "aarch64", "arm"),
+    "trace": (["trace", "fibonacci-go"], FAST, "RV64GC", "riscv"),
+    "chaos": (["chaos", "fibonacci-go"], FAST, "amd64", "x86"),
+    "serve": (["serve", "fibonacci-go"], ["--requests", "20"],
+              "arm64", "arm"),
+    "lukewarm": (["lukewarm", "fibonacci-go"], FAST, "riscv64", "riscv"),
+    "pipeline": (["pipeline"], FAST, "x86_64", "x86"),
+    "calibrate": (["calibrate"], ["--sampling", "fast"], "amd64", "x86"),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -162,6 +182,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", sorted(ISA_VERBS))
+    def test_vendor_isa_spelling_runs(self, verb, capsys):
+        head, options, spelled, isa = ISA_VERBS[verb]
+        argv = head + ["--isa", spelled] + options
+        assert build_parser().parse_args(argv).isa == isa
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("verb", sorted(ISA_VERBS))
+    def test_bad_isa_names_its_flag(self, verb, capsys):
+        head, options, _spelled, _isa = ISA_VERBS[verb]
+        with pytest.raises(SystemExit) as exited:
+            main(head + ["--isa", "sparc"] + options)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --isa: unknown ISA 'sparc'" in err
+        assert "Traceback" not in err
+
+    def test_compare_folds_each_vendor_isa(self, capsys):
+        argv = ["compare", "fibonacci-go", "--isas", "riscv64,x86_64"] + FAST
+        assert build_parser().parse_args(argv).isas == ["riscv", "x86"]
+        assert main(argv) == 0
+        assert "fibonacci-go: riscv vs x86" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exited:
+            main(["compare", "fibonacci-go", "--isas", "riscv,sparc"] + FAST)
+        assert exited.value.code == 2
+        assert ("argument --isas: unknown ISA 'sparc'"
+                in capsys.readouterr().err)
 
     def test_dse_bad_axis_spec(self):
         with pytest.raises(SystemExit):
